@@ -58,10 +58,9 @@ func DecoyRows(rows, count int) []int {
 //
 // The two-sided, decoy-free case is exactly the double-sided pattern,
 // so it reuses the batched HammerPairs hot path (one round = one
-// pair); wider patterns and decoy schedules dispatch per access, which
-// is also what the batched path itself falls back to whenever an
-// observing mitigation is attached — the very situation these kernels
-// exist to attack.
+// pair), which stays batched between the activations an attached
+// mitigation acts on; wider patterns and decoy schedules dispatch per
+// access.
 func NSidedRanked(c *memctrl.Controller, rank, bank int, aggressors, decoys []int, rounds int) {
 	if len(aggressors) == 2 && len(decoys) == 0 {
 		c.HammerPairsRanked(rank, bank, aggressors[0], aggressors[1], rounds)

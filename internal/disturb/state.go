@@ -75,13 +75,13 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	dup := r.Bool()
 	totalFlips := r.I64()
 	epochFlips := r.I64()
-	n := r.U64()
+	n := r.Count(73) // the 73 payload bytes of one weak cell below
 	if err := r.Err(); err != nil {
 		return err
 	}
 	staged := make([]*weakCell, 0, n)
 	bitsPerRow := geom.BitsPerRow()
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		wc := &weakCell{
 			bank:       r.Int(),
 			physRow:    r.Int(),

@@ -1,6 +1,7 @@
 package disturb
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -117,5 +118,22 @@ func TestModelLoadStateRejectsParamMismatch(t *testing.T) {
 	}
 	if m2.WeakCellCount() != before {
 		t.Fatal("failed load mutated the model")
+	}
+}
+
+// TestModelLoadStateRejectsHugeCellCount pins that a corrupt cell count
+// is refused before anything is sized from it: a payload claiming 1<<40
+// cells must fail with ErrCorrupt, not allocate for them.
+func TestModelLoadStateRejectsHugeCellCount(t *testing.T) {
+	_, m := buildHammered(3)
+	var w snapshot.Writer
+	m.SaveState(&w)
+	b := w.Bytes()
+	// The cell count is the last fixed field; 73 bytes per cell follow.
+	off := len(b) - 73*len(m.cells) - 8
+	binary.BigEndian.PutUint64(b[off:], 1<<40)
+	fresh := NewModel(m.geom, m.params, rng.New(3))
+	if err := fresh.LoadState(snapshot.NewReader(b)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }

@@ -353,28 +353,42 @@ func (d *Device) HammerN(b, logRow, n int, start, period Time) Time {
 	return last
 }
 
+// PairBatchable reports whether an alternating burst of logical rows
+// rowA and rowB on bank b can be applied batched: both rows are in
+// range, they map to distinct physical rows, and every attached fault
+// model accepts the pair. It is side-effect free, and its answer
+// depends only on the remap and the fault models' cell populations, so
+// it holds for a whole hammer sweep of the pair.
+func (d *Device) PairBatchable(b, rowA, rowB int) bool {
+	if b < 0 || b >= len(d.banks) ||
+		rowA < 0 || rowA >= d.Geom.Rows || rowB < 0 || rowB >= d.Geom.Rows {
+		return false
+	}
+	physA, physB := d.remap.Phys(rowA), d.remap.Phys(rowB)
+	if physA == physB {
+		return false
+	}
+	for _, f := range d.faults {
+		hf, ok := f.(HammerFaultModel)
+		if !ok || !hf.BatchablePair(b, physA, physB) {
+			return false
+		}
+	}
+	return true
+}
+
 // hammerPairDispatch is the shared core of the pair-burst APIs:
 // fault-model negotiation and dispatch, lastRestore and
 // activate/precharge/energy accounting for 2n alternating activations
 // of rowA and rowB (rowA first) at times start, start+period, ...
 // Callers handle the open-row precondition and end state. Returns the
 // time of the last (rowB) activation, or false with no state touched
-// when the rows are out of range, alias the same physical row, or a
-// fault model declines batching.
+// when PairBatchable declines the pair.
 func (d *Device) hammerPairDispatch(b, rowA, rowB, n int, start, period Time) (Time, bool) {
-	if rowA < 0 || rowA >= d.Geom.Rows || rowB < 0 || rowB >= d.Geom.Rows {
+	if !d.PairBatchable(b, rowA, rowB) {
 		return 0, false
 	}
 	physA, physB := d.remap.Phys(rowA), d.remap.Phys(rowB)
-	if physA == physB {
-		return 0, false
-	}
-	for _, f := range d.faults {
-		hf, ok := f.(HammerFaultModel)
-		if !ok || !hf.BatchablePair(b, physA, physB) {
-			return 0, false
-		}
-	}
 	for _, f := range d.faults {
 		f.(HammerFaultModel).OnHammerPairBatch(d, b, physA, physB, n, start, period)
 	}

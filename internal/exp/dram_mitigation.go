@@ -50,10 +50,7 @@ func attackRig(pop []modules.Module, year int, scale float64, opt core.Options) 
 func standardAttack(s *core.System, pairs int) {
 	rows := s.Device.Geom.Rows
 	for v := 17; v < rows-1; v += 16 {
-		for k := 0; k < pairs; k++ {
-			s.Ctrl.AccessCoord(coord(0, v-1), false, 0)
-			s.Ctrl.AccessCoord(coord(0, v+1), false, 0)
-		}
+		s.Ctrl.HammerPairs(0, v-1, v+1, pairs)
 	}
 }
 

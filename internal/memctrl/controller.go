@@ -142,12 +142,15 @@ type Controller struct {
 	ecc *eccLayer
 
 	mitigations []Mitigation
-	observers   int `snapshot:"derived"` // attached mitigations that are not passive
 	// refPolicy, when attached, replaces the uniform per-REF row sweep
 	// (multi-rate refresh). It aliases an entry of mitigations, which
 	// SaveState serializes.
 	refPolicy autoRefreshPolicy `snapshot:"derived"`
 	Stats     Stats
+	// batchedPairs counts the hammer pairs HammerPairsRanked applied
+	// through the batched device path rather than access by access. It
+	// is a diagnostic of which path ran, not simulated state.
+	batchedPairs int64 `snapshot:"diagnostic"`
 }
 
 // New creates a controller over one device (a single-rank channel).
@@ -232,12 +235,6 @@ func (c *Controller) ECCEnabled() bool { return c.ecc != nil }
 // it).
 type refreshScaler interface{ RefreshFactor() float64 }
 
-// passiveMitigation marks mitigations that neither observe activations
-// nor act on refreshes (their effect, if any, is applied at attach
-// time). The batched hammer hot path stays enabled when only passive
-// mitigations are attached.
-type passiveMitigation interface{ Passive() }
-
 // autoRefreshPolicy is the hook through which an attached mitigation
 // replaces the controller's uniform per-REF row sweep with its own row
 // schedule (MultiRateRefresh implements it). bind is called at attach
@@ -261,9 +258,6 @@ type autoRefreshPolicy interface {
 // multiplier up front.
 func (c *Controller) Attach(m Mitigation) {
 	c.mitigations = append(c.mitigations, m)
-	if _, ok := m.(passiveMitigation); !ok {
-		c.observers++
-	}
 	if sc, ok := m.(*Scrubber); ok {
 		sc.bind(c)
 	}
@@ -427,18 +421,22 @@ func (c *Controller) HammerPairs(bank, rowA, rowB, pairs int) {
 
 // HammerPairsRanked is HammerPairs on an explicit rank. It is
 // behaviourally identical to the equivalent AccessRanked loop (same
-// timing, refresh interleaving, stats and fault physics, bit for bit)
-// but batches whole refresh-free runs of the sweep into single device
-// calls, amortizing per-activation bookkeeping across each run.
+// timing, refresh interleaving, stats, mitigation state and fault
+// physics, bit for bit) but batches whole runs of the sweep into single
+// device calls, amortizing per-activation bookkeeping across each run.
 //
-// The fast path applies only while no observing mitigation is attached
-// (observers see, and may act on, every individual activation; passive
-// mitigations such as RefreshScaling do not disable it), the controller
-// has no ECC layer (ECC classifies the data of every read, and
-// BatchReads transfers none — a previously corrupted aggressor word
-// must count an ECC event per read), and every attached fault model
-// accepts batching for the hammered row pair; otherwise the loop falls
-// back to per-access dispatch, which is exact by construction.
+// A batched run never spans a REF command, and it never spans an
+// activation at which an attached mitigation acts: each run is capped
+// at the shortest Mitigation.Horizon, the mitigations then observe it
+// in bulk through ObserveN, and the pair holding the acting activation
+// goes through the per-access path, which is exact by construction.
+// Passive mitigations have an unbounded horizon and cost nothing.
+//
+// The whole sweep takes the per-access path when the controller has an
+// ECC layer (ECC classifies the data of every read, and BatchReads
+// transfers none — a previously corrupted aggressor word must count an
+// ECC event per read) or when dram.Device.PairBatchable declines the
+// row pair.
 func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 	coA := Coord{Bank: bank, Row: rowA}
 	coB := Coord{Bank: bank, Row: rowB}
@@ -446,14 +444,13 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 		c.AccessRanked(rank, coA, false, 0)
 		c.AccessRanked(rank, coB, false, 0)
 	}
-	if c.observers > 0 || c.ecc != nil || rowA == rowB ||
-		rowA < 0 || rowA >= c.cfg.Geom.Rows || rowB < 0 || rowB >= c.cfg.Geom.Rows {
+	dev := c.ranks[rank]
+	if c.ecc != nil || !dev.PairBatchable(bank, rowA, rowB) {
 		for i := 0; i < pairs; i++ {
 			naivePair()
 		}
 		return
 	}
-	dev := c.ranks[rank]
 	flat := rank*c.cfg.Geom.Banks + bank
 	physB := dev.PhysRow(rowB)
 	t := dev.Timing
@@ -468,37 +465,24 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 	done := 0
 	for done < pairs {
 		c.serviceRefresh()
-		// The batched chunk assumes both accesses of every pair take
-		// the row-conflict branch, which holds once the bank is open on
+		// The batched run assumes both accesses of every pair take the
+		// row-conflict branch, which holds once the bank is open on
 		// rowB; until then (first pair, or after a refresh precharged
-		// the bank) issue exact individual accesses.
-		if dev.OpenRow(bank) != physB {
-			naivePair()
-			done++
-			continue
-		}
-		// First activation time, mirroring the conflict branch's tRC
-		// enforcement.
-		act0 := c.now
-		if since := c.now - c.lastAct[flat]; since < t.TRC {
-			act0 += t.TRC - since
-		}
-		// Access j of the chunk starts (and its refresh-due check
-		// happens) at act0+(j-1)*period+s; cap the chunk so no refresh
-		// comes due inside it. The j=0 check already ran above.
-		maxAccesses := 2 * (pairs - done)
-		if !c.cfg.DisableRefresh {
-			if act0+s >= c.nextRefDue {
-				naivePair()
-				done++
-				continue
+		// the bank) k stays 0 and the pair is issued access by access.
+		k := 0
+		var act0 dram.Time
+		if dev.OpenRow(bank) == physB {
+			// First activation time, mirroring the conflict branch's
+			// tRC enforcement.
+			act0 = c.now
+			if since := c.now - c.lastAct[flat]; since < t.TRC {
+				act0 += t.TRC - since
 			}
-			fit := uint64(c.nextRefDue-1-(act0+s))/uint64(period) + 2
-			if fit < uint64(maxAccesses) {
-				maxAccesses = int(fit)
+			k = c.batchPairs(act0, s, period, pairs-done)
+			if k > 0 {
+				k = min(k, c.horizon(flat, rowA, rowB, 2*k)/2)
 			}
 		}
-		k := maxAccesses / 2
 		if k == 0 {
 			naivePair()
 			done++
@@ -506,9 +490,10 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 		}
 		last, ok := dev.HammerPairConflict(bank, rowA, rowB, k, act0, period)
 		if !ok {
-			naivePair()
-			done++
-			continue
+			panic("memctrl: device declined a hammer pair PairBatchable accepted")
+		}
+		for _, m := range c.mitigations {
+			m.ObserveN(c, flat, rowA, rowB, 2*k)
 		}
 		dev.BatchReads(bank, 2*k)
 		end := last + s
@@ -517,8 +502,37 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 		c.Stats.BusyTime += end - c.now
 		c.lastAct[flat] = last
 		c.now = end
+		c.batchedPairs += int64(k)
 		done += k
 	}
+}
+
+// batchPairs returns how many of the remaining pairs fit before the
+// next REF command comes due, given the run's first activation at act0.
+// Access j of the run starts (and its refresh-due check happens) at
+// act0+(j-1)*period+s; the j=0 check already ran.
+func (c *Controller) batchPairs(act0, s, period dram.Time, remaining int) int {
+	if c.cfg.DisableRefresh {
+		return remaining
+	}
+	if act0+s >= c.nextRefDue {
+		return 0
+	}
+	fit := uint64(c.nextRefDue-1-(act0+s))/uint64(period) + 2
+	return int(min(fit, uint64(2*remaining)) / 2)
+}
+
+// horizon returns how many of the next n activations alternating rowA,
+// rowB (rowA first) on the flat bank every attached mitigation observes
+// without acting.
+func (c *Controller) horizon(flat, rowA, rowB, n int) int {
+	for _, m := range c.mitigations {
+		if n == 0 {
+			break
+		}
+		n = min(n, m.Horizon(c, flat, rowA, rowB, n))
+	}
+	return n
 }
 
 // AdvanceTo moves idle time forward to at least t, servicing refresh

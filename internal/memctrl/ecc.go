@@ -356,6 +356,13 @@ func (s *Scrubber) Name() string { return fmt.Sprintf("scrub-x%d", s.WordsPerREF
 // activations.
 func (s *Scrubber) OnActivate(c *Controller, bank, logRow int) {}
 
+// Horizon implements Mitigation: patrol scrub never acts on an
+// activation.
+func (s *Scrubber) Horizon(c *Controller, bank, rowA, rowB, n int) int { return n }
+
+// ObserveN implements Mitigation (nothing to observe).
+func (s *Scrubber) ObserveN(c *Controller, bank, rowA, rowB, n int) {}
+
 // OnAutoRefresh implements Mitigation: each REF advances the patrol.
 func (s *Scrubber) OnAutoRefresh(c *Controller) {
 	if s.WordsPerREF <= 0 {
@@ -415,8 +422,8 @@ func (s *Scrubber) StorageBits() int64 {
 	return int64(bits.Len(uint(total)))
 }
 
-// Passive implements the passiveMitigation hook: scrubbing observes no
-// activations, so the batched hammer hot path stays enabled.
+// Passive marks the Scrubber as observing no activations (its Horizon
+// is unbounded).
 func (s *Scrubber) Passive() {}
 
 // SaveState implements StatefulMitigation.

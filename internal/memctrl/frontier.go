@@ -90,12 +90,10 @@ func (m *Graphene) Name() string { return "Graphene(top-k)" }
 func (m *Graphene) OnActivate(c *Controller, bank, logRow int) {
 	tb := &m.tables[bank]
 	phys := c.PhysRowAt(bank, logRow)
-	for i := 0; i < tb.used; i++ {
-		if tb.entries[i].row == phys {
-			tb.entries[i].count++
-			m.fire(c, bank, tb, i)
-			return
-		}
+	if i := tb.find(phys); i >= 0 {
+		tb.entries[i].count++
+		m.fire(c, bank, tb, i)
+		return
 	}
 	if tb.used < len(tb.entries) {
 		tb.entries[tb.used] = m.newEntry(phys, tb.spill+1)
@@ -120,6 +118,38 @@ func (m *Graphene) OnActivate(c *Controller, bank, logRow int) {
 		tb.entries[min] = m.newEntry(phys, tb.spill+1)
 		tb.spill = evicted
 	}
+}
+
+// Horizon implements Mitigation: the activations before either
+// tracked row's estimate reaches its next trigger. An untracked row
+// changes the table on its next activation, so the horizon is 0 until
+// both rows hold slots.
+func (m *Graphene) Horizon(c *Controller, bank, rowA, rowB, n int) int {
+	tb := &m.tables[bank]
+	a, b := tb.find(c.PhysRowAt(bank, rowA)), tb.find(c.PhysRowAt(bank, rowB))
+	if a < 0 || b < 0 {
+		return 0
+	}
+	ea, eb := &tb.entries[a], &tb.entries[b]
+	return pairHorizon(ea.next-ea.count, eb.next-eb.count, n)
+}
+
+// ObserveN implements Mitigation: bulk-add each tracked row's share of
+// the n activations to its estimate.
+func (m *Graphene) ObserveN(c *Controller, bank, rowA, rowB, n int) {
+	tb := &m.tables[bank]
+	tb.entries[tb.find(c.PhysRowAt(bank, rowA))].count += int64((n + 1) / 2)
+	tb.entries[tb.find(c.PhysRowAt(bank, rowB))].count += int64(n / 2)
+}
+
+// find returns the slot tracking a physical row, or -1.
+func (tb *mgTable) find(row int) int {
+	for i := 0; i < tb.used; i++ {
+		if tb.entries[i].row == row {
+			return i
+		}
+	}
+	return -1
 }
 
 // trigger is the count step between neighbourhood refreshes.
@@ -217,21 +247,50 @@ func (m *TWiCe) Name() string { return "TWiCe(pruned)" }
 func (m *TWiCe) OnActivate(c *Controller, bank, logRow int) {
 	phys := c.PhysRowAt(bank, logRow)
 	tb := m.tables[bank]
-	for i := range tb {
-		if tb[i].row == phys {
-			tb[i].count++
-			if tb[i].count >= (m.Threshold+1)/2 {
-				c.RefreshPhysRows(bank, []int{phys - 2, phys - 1, phys + 1, phys + 2})
-				tb[i].count = 0
-				tb[i].life = 0
-			}
-			return
+	if i := m.find(bank, phys); i >= 0 {
+		tb[i].count++
+		if tb[i].count >= (m.Threshold+1)/2 {
+			c.RefreshPhysRows(bank, []int{phys - 2, phys - 1, phys + 1, phys + 2})
+			tb[i].count = 0
+			tb[i].life = 0
 		}
+		return
 	}
 	m.tables[bank] = append(tb, twEntry{row: phys, count: 1})
 	if n := m.liveEntries(); n > m.peak {
 		m.peak = n
 	}
+}
+
+// find returns the index of the live entry counting a physical row on
+// a flat bank, or -1.
+func (m *TWiCe) find(bank, row int) int {
+	for i, e := range m.tables[bank] {
+		if e.row == row {
+			return i
+		}
+	}
+	return -1
+}
+
+// Horizon implements Mitigation: the activations before either row's
+// count reaches the trigger. An untracked row allocates an entry on
+// its next activation, so the horizon is 0 until both rows have one.
+func (m *TWiCe) Horizon(c *Controller, bank, rowA, rowB, n int) int {
+	a, b := m.find(bank, c.PhysRowAt(bank, rowA)), m.find(bank, c.PhysRowAt(bank, rowB))
+	if a < 0 || b < 0 {
+		return 0
+	}
+	tr, tb := (m.Threshold+1)/2, m.tables[bank]
+	return pairHorizon(tr-tb[a].count, tr-tb[b].count, n)
+}
+
+// ObserveN implements Mitigation: bulk-add each row's share of the n
+// activations to its count.
+func (m *TWiCe) ObserveN(c *Controller, bank, rowA, rowB, n int) {
+	tb := m.tables[bank]
+	tb[m.find(bank, c.PhysRowAt(bank, rowA))].count += int64((n + 1) / 2)
+	tb[m.find(bank, c.PhysRowAt(bank, rowB))].count += int64(n / 2)
 }
 
 // liveEntries counts the currently allocated entries across banks.
@@ -290,9 +349,9 @@ func (m *TWiCe) PeakEntries() int { return m.peak }
 // solution as an attachable Mitigation: Controller.Attach recognizes
 // it and multiplies the controller's REF rate by Factor (stacking with
 // Config.RefreshMultiplier). It keeps no state and observes no
-// activations — it is a passive mitigation, so the batched hammer hot
-// path stays enabled and the sweeps pay only the simulated refresh
-// cost, not a simulation slowdown.
+// activations — it is a passive mitigation with an unbounded hammer
+// horizon, so the sweeps pay only the simulated refresh cost, not a
+// simulation slowdown.
 type RefreshScaling struct {
 	// Factor multiplies the controller's refresh rate; 2 halves the
 	// refresh window, 7 is the paper's elimination multiplier for the
@@ -315,6 +374,13 @@ func (m *RefreshScaling) Name() string { return fmt.Sprintf("refresh-x%g", m.Fac
 // OnActivate implements Mitigation (refresh scaling observes nothing).
 func (m *RefreshScaling) OnActivate(c *Controller, bank, logRow int) {}
 
+// Horizon implements Mitigation: refresh scaling never acts on an
+// activation.
+func (m *RefreshScaling) Horizon(c *Controller, bank, rowA, rowB, n int) int { return n }
+
+// ObserveN implements Mitigation (nothing to observe).
+func (m *RefreshScaling) ObserveN(c *Controller, bank, rowA, rowB, n int) {}
+
 // OnAutoRefresh implements Mitigation (the rate change itself is
 // applied by Controller.Attach).
 func (m *RefreshScaling) OnAutoRefresh(c *Controller) {}
@@ -328,8 +394,8 @@ func (m *RefreshScaling) StorageBits() int64 { return 0 }
 // recognizes.
 func (m *RefreshScaling) RefreshFactor() float64 { return m.Factor }
 
-// Passive implements the passiveMitigation hook: attaching
-// RefreshScaling must not disable the batched hammer hot path.
+// Passive marks RefreshScaling as observing no activations (its
+// Horizon is unbounded).
 func (m *RefreshScaling) Passive() {}
 
 var (

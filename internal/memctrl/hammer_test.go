@@ -6,47 +6,63 @@ package memctrl
 // physics.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/disturb"
 	"repro/internal/dram"
 	"repro/internal/retention"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
+	"repro/internal/spd"
 )
 
-// hammerSystem is one device+controller with disturbance (and
-// optionally retention) physics for the twin comparison.
+// hammerSystem is a controller over one or more ranks, each with
+// disturbance (and optionally retention) physics, for the twin
+// comparison.
 type hammerSystem struct {
-	dev  *dram.Device
+	devs []*dram.Device
 	ctrl *Controller
-	dm   *disturb.Model
+	dms  []*disturb.Model
 }
 
-func newHammerSystem(t *testing.T, g dram.Geometry, seed uint64, withRetention bool, mult float64) *hammerSystem {
+func newHammerSystem(t testing.TB, g dram.Geometry, seed uint64, withRetention bool, mult float64) *hammerSystem {
+	return newHammerRig(t, g, 1, seed, withRetention, mult)
+}
+
+func newHammerRig(t testing.TB, g dram.Geometry, ranks int, seed uint64, withRetention bool, mult float64) *hammerSystem {
 	t.Helper()
-	dev := dram.NewDevice(g)
-	p := disturb.DefaultParams()
-	p.WeakCellFraction = 2e-3
-	p.ThresholdMedian = 3000
-	p.MinThreshold = 400
-	p.Dist2Fraction = 0.2
-	dm := disturb.NewModel(g, p, rng.New(seed))
-	dev.AttachFault(dm)
-	if withRetention {
-		rp := retention.DefaultParams()
-		rp.WeakFraction = 2e-3 // dense enough that hammered rows hold cells
-		rm := retention.NewModel(g, rp, rng.New(seed^0x9e3779b9))
-		dev.AttachFault(rm)
-	}
-	ctrl := New(dev, Config{RefreshMultiplier: mult})
-	for r := 0; r < g.Rows; r++ {
-		pat := uint64(0xaaaaaaaaaaaaaaaa)
-		if r%2 == 1 {
-			pat = 0x5555555555555555
+	s := &hammerSystem{}
+	for rk := 0; rk < ranks; rk++ {
+		dev := dram.NewDevice(g)
+		p := disturb.DefaultParams()
+		p.WeakCellFraction = 2e-3
+		p.ThresholdMedian = 3000
+		p.MinThreshold = 400
+		p.Dist2Fraction = 0.2
+		rs := seed + uint64(rk)*0x51
+		dm := disturb.NewModel(g, p, rng.New(rs))
+		dev.AttachFault(dm)
+		if withRetention {
+			rp := retention.DefaultParams()
+			rp.WeakFraction = 2e-3 // dense enough that hammered rows hold cells
+			rm := retention.NewModel(g, rp, rng.New(rs^0x9e3779b9))
+			dev.AttachFault(rm)
 		}
-		dev.FillPhysRow(0, r, pat)
+		for b := 0; b < g.Banks; b++ {
+			for r := 0; r < g.Rows; r++ {
+				pat := uint64(0xaaaaaaaaaaaaaaaa)
+				if r%2 == 1 {
+					pat = 0x5555555555555555
+				}
+				dev.FillPhysRow(b, r, pat)
+			}
+		}
+		s.devs = append(s.devs, dev)
+		s.dms = append(s.dms, dm)
 	}
-	return &hammerSystem{dev: dev, ctrl: ctrl, dm: dm}
+	s.ctrl = NewMultiRank(s.devs, Config{RefreshMultiplier: mult})
+	return s
 }
 
 // compareSystems requires bit-identical controller time, stats, energy
@@ -59,38 +75,41 @@ func compareSystems(t *testing.T, a, b *hammerSystem, ctx string) {
 	if a.ctrl.Stats != b.ctrl.Stats {
 		t.Fatalf("%s: controller stats:\nbatched %+v\nnaive   %+v", ctx, a.ctrl.Stats, b.ctrl.Stats)
 	}
-	if a.dev.Stats != b.dev.Stats {
-		t.Fatalf("%s: device stats:\nbatched %+v\nnaive   %+v", ctx, a.dev.Stats, b.dev.Stats)
-	}
-	if a.dm.TotalFlips() != b.dm.TotalFlips() {
-		t.Fatalf("%s: flips: batched %d, naive %d", ctx, a.dm.TotalFlips(), b.dm.TotalFlips())
-	}
-	g := a.dev.Geom
-	for bank := 0; bank < g.Banks; bank++ {
-		if a.dev.OpenRow(bank) != b.dev.OpenRow(bank) {
-			t.Fatalf("%s: open row bank %d: batched %d, naive %d", ctx, bank, a.dev.OpenRow(bank), b.dev.OpenRow(bank))
+	for rk, da := range a.devs {
+		db := b.devs[rk]
+		if da.Stats != db.Stats {
+			t.Fatalf("%s: rank %d device stats:\nbatched %+v\nnaive   %+v", ctx, rk, da.Stats, db.Stats)
 		}
-		for row := 0; row < g.Rows; row++ {
-			wa, wb := a.dev.PhysRowWords(bank, row), b.dev.PhysRowWords(bank, row)
-			for c := range wa {
-				if wa[c] != wb[c] {
-					t.Fatalf("%s: bank %d row %d col %d: batched %#x, naive %#x", ctx, bank, row, c, wa[c], wb[c])
-				}
+		if fa, fb := a.dms[rk].TotalFlips(), b.dms[rk].TotalFlips(); fa != fb {
+			t.Fatalf("%s: rank %d flips: batched %d, naive %d", ctx, rk, fa, fb)
+		}
+		g := da.Geom
+		for bank := 0; bank < g.Banks; bank++ {
+			if da.OpenRow(bank) != db.OpenRow(bank) {
+				t.Fatalf("%s: rank %d open row bank %d: batched %d, naive %d", ctx, rk, bank, da.OpenRow(bank), db.OpenRow(bank))
 			}
-			if a.dev.LastRestore(bank, row) != b.dev.LastRestore(bank, row) {
-				t.Fatalf("%s: lastRestore bank %d row %d: batched %d, naive %d",
-					ctx, bank, row, a.dev.LastRestore(bank, row), b.dev.LastRestore(bank, row))
+			for row := 0; row < g.Rows; row++ {
+				wa, wb := da.PhysRowWords(bank, row), db.PhysRowWords(bank, row)
+				for c := range wa {
+					if wa[c] != wb[c] {
+						t.Fatalf("%s: rank %d bank %d row %d col %d: batched %#x, naive %#x", ctx, rk, bank, row, c, wa[c], wb[c])
+					}
+				}
+				if da.LastRestore(bank, row) != db.LastRestore(bank, row) {
+					t.Fatalf("%s: rank %d lastRestore bank %d row %d: batched %d, naive %d",
+						ctx, rk, bank, row, da.LastRestore(bank, row), db.LastRestore(bank, row))
+				}
 			}
 		}
 	}
 }
 
-func naiveHammerPairs(c *Controller, bank, rowA, rowB, pairs int) {
+func naiveHammerPairs(c *Controller, rank, bank, rowA, rowB, pairs int) {
 	coA := Coord{Bank: bank, Row: rowA}
 	coB := Coord{Bank: bank, Row: rowB}
 	for i := 0; i < pairs; i++ {
-		c.AccessCoord(coA, false, 0)
-		c.AccessCoord(coB, false, 0)
+		c.AccessRanked(rank, coA, false, 0)
+		c.AccessRanked(rank, coB, false, 0)
 	}
 }
 
@@ -112,12 +131,12 @@ func TestHammerPairsMatchesAccessLoop(t *testing.T) {
 			// many auto-refresh commands (one REF per ~159 accesses).
 			for v := 1; v < g.Rows-1; v += 9 {
 				fast.ctrl.HammerPairs(0, v-1, v+1, 2000)
-				naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 2000)
+				naiveHammerPairs(slow.ctrl, 0, 0, v-1, v+1, 2000)
 			}
 			if fast.ctrl.Stats.AutoRefreshes == 0 {
 				t.Fatal("no auto-refresh during sweep; test is vacuous")
 			}
-			if fast.dm.TotalFlips() == 0 {
+			if fast.dms[0].TotalFlips() == 0 {
 				t.Fatal("no flips during sweep; test is vacuous")
 			}
 			compareSystems(t, fast, slow, tc.name)
@@ -129,34 +148,140 @@ func TestHammerPairsWithRemap(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 4}
 	build := func() *hammerSystem {
 		s := newHammerSystem(t, g, 21, false, 1)
-		s.dev.SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(5)))
+		s.devs[0].SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(5)))
 		return s
 	}
 	fast, slow := build(), build()
 	for v := 1; v < g.Rows-1; v += 17 {
 		fast.ctrl.HammerPairs(0, v-1, v+1, 1500)
-		naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 1500)
+		naiveHammerPairs(slow.ctrl, 0, 0, v-1, v+1, 1500)
 	}
 	compareSystems(t, fast, slow, "remapped")
 }
 
-func TestHammerPairsWithMitigationFallsBack(t *testing.T) {
-	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
-	build := func() *hammerSystem {
-		s := newHammerSystem(t, g, 31, false, 1)
-		s.ctrl.Attach(NewPARA(0.02, InDRAM, nil, rng.New(77)))
-		return s
+// TestHammerPairsMitigatedMatchesAccessLoop proves the horizon
+// contract: with each mitigation attached, alone and stacked, the
+// batched sweep (runs capped at every mitigation's Horizon and observed
+// in bulk through ObserveN) leaves the controller, the devices, the
+// fault models and every mitigation's saved state bit-identical to the
+// per-access loop. The sweeps cross many REF commands (TRR drains,
+// TWiCe prunes) and, with WindowREFs pinned short, many counter-window
+// resets; the 2-rank rig puts the hammered rows on flat banks that
+// differ from their bank index, and the remapped rig separates logical
+// from physical adjacency.
+func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
+	g := dram.Geometry{Banks: 2, Rows: 96, Cols: 4}
+	const (
+		threshold = 700
+		window    = 24 // REF commands per counter window
+	)
+	para := func(where Placement, seed uint64) func(*hammerSystem) Mitigation {
+		return func(s *hammerSystem) Mitigation {
+			var oracle *spd.AdjacencyOracle
+			if where == InControllerWithSPD {
+				rt, err := spd.Decode(spd.Encode(s.devs[0].Remap()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle = spd.NewOracle(rt)
+			}
+			return NewPARA(0.02, where, oracle, rng.New(seed))
+		}
 	}
-	fast, slow := build(), build()
-	for v := 1; v < g.Rows-1; v += 13 {
-		fast.ctrl.HammerPairs(0, v-1, v+1, 800)
-		naiveHammerPairs(slow.ctrl, 0, v-1, v+1, 800)
+	trr := func(*hammerSystem) Mitigation { return NewTRR(4, 0.01, rng.New(5)) }
+	cra := func(s *hammerSystem) Mitigation {
+		m := NewCRA(threshold, len(s.devs)*g.Banks, g.Rows)
+		m.WindowREFs = window
+		return m
 	}
-	// With a mitigation attached both sides take the identical naive
-	// path, RNG draws included.
-	compareSystems(t, fast, slow, "PARA attached")
-	if fast.ctrl.Stats.MitRefreshes == 0 {
-		t.Fatal("PARA never fired; test is vacuous")
+	graphene := func(s *hammerSystem) Mitigation {
+		m := NewGraphene(4, threshold, len(s.devs)*g.Banks)
+		m.WindowREFs = window
+		return m
+	}
+	twice := func(s *hammerSystem) Mitigation {
+		m := NewTWiCe(threshold, len(s.devs)*g.Banks)
+		m.WindowREFs = window
+		return m
+	}
+	anvil := func(*hammerSystem) Mitigation { return NewANVIL() }
+	scaling := func(*hammerSystem) Mitigation { return NewRefreshScaling(2) }
+	all := []func(*hammerSystem) Mitigation{para(InDRAM, 6), trr, cra, graphene, twice, anvil}
+	for _, tc := range []struct {
+		name  string
+		ranks int
+		remap bool
+		mits  []func(*hammerSystem) Mitigation
+	}{
+		{"PARA/controller", 1, false, []func(*hammerSystem) Mitigation{para(InController, 1)}},
+		{"PARA/controller+SPD", 1, true, []func(*hammerSystem) Mitigation{para(InControllerWithSPD, 2)}},
+		{"PARA/in-DRAM", 1, false, []func(*hammerSystem) Mitigation{para(InDRAM, 3)}},
+		{"TRR", 1, false, []func(*hammerSystem) Mitigation{trr}},
+		{"TRR/sample-all", 1, false, []func(*hammerSystem) Mitigation{
+			func(*hammerSystem) Mitigation { return NewTRR(4, 1, rng.New(7)) }}},
+		{"CRA", 1, false, []func(*hammerSystem) Mitigation{cra}},
+		{"Graphene", 1, false, []func(*hammerSystem) Mitigation{graphene}},
+		{"TWiCe", 1, false, []func(*hammerSystem) Mitigation{twice}},
+		{"ANVIL", 1, false, []func(*hammerSystem) Mitigation{anvil}},
+		{"PARA+CRA", 1, false, []func(*hammerSystem) Mitigation{para(InController, 4), cra}},
+		{"RefreshScaling+TRR", 1, false, []func(*hammerSystem) Mitigation{scaling, trr}},
+		{"all/2-rank", 2, false, all},
+		{"all/remapped", 1, true, all},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*hammerSystem, []Mitigation) {
+				s := newHammerRig(t, g, tc.ranks, 31, false, 1)
+				if tc.remap {
+					for rk, dev := range s.devs {
+						dev.SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(uint64(9+rk))))
+					}
+				}
+				var mits []Mitigation
+				for _, mk := range tc.mits {
+					m := mk(s)
+					s.ctrl.Attach(m)
+					mits = append(mits, m)
+				}
+				return s, mits
+			}
+			fast, fastMits := build()
+			slow, slowMits := build()
+			// Neighbouring victims share an aggressor row, so the two
+			// rows of a pair enter it with different counts, and the
+			// uneven pair counts end sweeps mid-window.
+			pairs := 0
+			for rk := 0; rk < tc.ranks; rk++ {
+				for b := 0; b < g.Banks; b++ {
+					for v := 1; v < g.Rows-1; v += 2 {
+						n := 500 + 37*(v%11)
+						fast.ctrl.HammerPairsRanked(rk, b, v-1, v+1, n)
+						naiveHammerPairs(slow.ctrl, rk, b, v-1, v+1, n)
+						pairs += n
+					}
+				}
+			}
+			compareSystems(t, fast, slow, tc.name)
+			for i, m := range fastMits {
+				sm, ok := m.(StatefulMitigation)
+				if !ok {
+					continue
+				}
+				var wa, wb snapshot.Writer
+				sm.SaveState(&wa)
+				slowMits[i].(StatefulMitigation).SaveState(&wb)
+				if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+					t.Fatalf("%s: %s saved state differs between batched and naive sweeps", tc.name, m.Name())
+				}
+			}
+			if fast.ctrl.Stats.MitRefreshes == 0 {
+				t.Fatal("no mitigation refresh during the sweep; test is vacuous")
+			}
+			if fast.ctrl.batchedPairs == 0 {
+				t.Fatal("no pair took the batched path; test is vacuous")
+			}
+			t.Logf("%d of %d pairs batched, %d mitigation refreshes",
+				fast.ctrl.batchedPairs, pairs, fast.ctrl.Stats.MitRefreshes)
+		})
 	}
 }
 
@@ -166,8 +291,44 @@ func TestHammerPairsDegenerateCases(t *testing.T) {
 	slow := newHammerSystem(t, g, 41, false, 1)
 	// Same row on both sides: row hits, no conflicts.
 	fast.ctrl.HammerPairs(0, 7, 7, 100)
-	naiveHammerPairs(slow.ctrl, 0, 7, 7, 100)
+	naiveHammerPairs(slow.ctrl, 0, 0, 7, 7, 100)
 	// Zero pairs: no-op.
 	fast.ctrl.HammerPairs(0, 1, 3, 0)
 	compareSystems(t, fast, slow, "degenerate")
+}
+
+// BenchmarkHammerPairsMitigated measures the double-sided hammer sweep
+// with one mitigation attached, in ns per activation, on a device
+// without fault models so the figure is the controller and mitigation
+// cost alone.
+func BenchmarkHammerPairsMitigated(b *testing.B) {
+	g := dram.Geometry{Banks: 1, Rows: 512, Cols: 4}
+	const (
+		threshold = 2000
+		pairs     = 4000
+	)
+	for _, bc := range []struct {
+		name string
+		mit  func() Mitigation
+	}{
+		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(1)) }},
+		{"trr", func() Mitigation { return NewTRR(8, 0.01, rng.New(2)) }},
+		{"cra", func() Mitigation { return NewCRA(threshold, g.Banks, g.Rows) }},
+		{"graphene", func() Mitigation { return NewGraphene(8, threshold, g.Banks) }},
+		{"twice", func() Mitigation { return NewTWiCe(threshold, g.Banks) }},
+		{"anvil", func() Mitigation { return NewANVIL() }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctrl := New(dram.NewDevice(g), Config{})
+			ctrl.Attach(bc.mit())
+			acts := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := 1 + 8*(i%60)
+				ctrl.HammerPairs(0, v-1, v+1, pairs)
+				acts += 2 * pairs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(acts), "ns/act")
+		})
+	}
 }

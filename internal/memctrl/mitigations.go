@@ -18,11 +18,30 @@ import (
 // RefreshLogRows/RefreshPhysRows/PhysRowAt) is the controller's flat
 // rank*Banks+bank index, which equals the plain bank index on
 // single-rank channels.
+//
+// Horizon contract: Controller.HammerPairsRanked batches a hammer sweep
+// only up to the first activation at which some mitigation would act.
+// Horizon(c, bank, rowA, rowB, n) must return, without changing any
+// state, how many of the next n activations alternating rowA, rowB
+// (logical rows, rowA first) on the flat bank the mitigation would
+// observe without acting — touching the controller, drawing a
+// decision that does, or leaving its state in a form the bulk update
+// cannot express. ObserveN(c, bank, rowA, rowB, n) is then called with
+// n no larger than that horizon and must leave the mitigation in
+// exactly the state n OnActivate calls for that sequence would, random
+// stream positions included. Passive mitigations return n and observe
+// nothing.
 type Mitigation interface {
 	// Name identifies the mitigation in result tables.
 	Name() string
 	// OnActivate observes an activation of a logical row.
 	OnActivate(c *Controller, bank, logRow int)
+	// Horizon returns how many of the next n alternating rowA/rowB
+	// activations the mitigation observes without acting.
+	Horizon(c *Controller, bank, rowA, rowB, n int) int
+	// ObserveN applies n alternating rowA/rowB activations within the
+	// horizon.
+	ObserveN(c *Controller, bank, rowA, rowB, n int)
 	// OnAutoRefresh observes one REF command.
 	OnAutoRefresh(c *Controller)
 	// StorageBits returns the mitigation's hardware state cost,
@@ -140,6 +159,38 @@ func (p *PARA) OnActivate(c *Controller, bank, logRow int) {
 	}
 }
 
+// Horizon implements Mitigation: PARA acts at the first activation
+// whose pair of side draws fires, found on a copy of its stream.
+func (p *PARA) Horizon(c *Controller, bank, rowA, rowB, n int) int {
+	side := p.P / 2
+	switch {
+	case side <= 0:
+		return n // Bool never fires and draws nothing
+	case side >= 1:
+		return 0
+	}
+	var s rng.Stream
+	s.SetState(p.src.State())
+	cut := rng.BoolCut(side)
+	for i := 0; i < n; i++ {
+		if s.Uint64()>>11 < cut || s.Uint64()>>11 < cut {
+			return i
+		}
+	}
+	return n
+}
+
+// ObserveN implements Mitigation: redraw the horizon's side draws, one
+// Uint64 per Bool, none of which fires.
+func (p *PARA) ObserveN(c *Controller, bank, rowA, rowB, n int) {
+	if p.P <= 0 {
+		return
+	}
+	for i := 0; i < 2*n; i++ {
+		p.src.Uint64()
+	}
+}
+
 // OnAutoRefresh implements Mitigation (PARA needs no refresh hook).
 func (p *PARA) OnAutoRefresh(c *Controller) {}
 
@@ -215,6 +266,42 @@ func (m *CRA) OnActivate(c *Controller, bank, logRow int) {
 	}
 }
 
+// Horizon implements Mitigation: the activations before either row's
+// counter reaches the trigger.
+func (m *CRA) Horizon(c *Controller, bank, rowA, rowB, n int) int {
+	tr := (m.Threshold + 1) / 2
+	a := m.counters[[2]int{bank, c.PhysRowAt(bank, rowA)}]
+	b := m.counters[[2]int{bank, c.PhysRowAt(bank, rowB)}]
+	return pairHorizon(tr-a, tr-b, n)
+}
+
+// ObserveN implements Mitigation: bulk-add each row's share of the n
+// activations to its counter.
+func (m *CRA) ObserveN(c *Controller, bank, rowA, rowB, n int) {
+	if na := int64((n + 1) / 2); na > 0 {
+		m.counters[[2]int{bank, c.PhysRowAt(bank, rowA)}] += na
+	}
+	if nb := int64(n / 2); nb > 0 {
+		m.counters[[2]int{bank, c.PhysRowAt(bank, rowB)}] += nb
+	}
+}
+
+// pairHorizon returns how many activations of an alternating rowA/rowB
+// sequence (rowA first) pass before the one that acts, capped at n:
+// rowA's toA-th or rowB's toB-th activation acts, and a count of 1 or
+// less means the row's next activation does.
+func pairHorizon(toA, toB int64, n int) int {
+	h := int64(n)
+	if toA <= 1 {
+		return 0
+	}
+	h = min(h, 2*(toA-1))
+	if toB <= 1 {
+		return min(int(h), 1)
+	}
+	return int(min(h, 2*(toB-1)+1))
+}
+
 // OnAutoRefresh implements Mitigation: counters reset every full
 // retention window, since pressure cannot span windows. The window is
 // derived from the controller's refresh config unless WindowREFs pins
@@ -270,6 +357,31 @@ func (m *TRR) OnActivate(c *Controller, bank, logRow int) {
 		m.filled++
 	}
 	m.nextSlot = (m.nextSlot + 1) % m.Entries
+}
+
+// Horizon implements Mitigation: the sampler acts only at REF
+// commands, so it observes every activation.
+func (m *TRR) Horizon(c *Controller, bank, rowA, rowB, n int) int { return n }
+
+// ObserveN implements Mitigation: the same sampling draws, in the same
+// order, as n OnActivate calls.
+func (m *TRR) ObserveN(c *Controller, bank, rowA, rowB, n int) {
+	if m.SampleP <= 0 {
+		return // Bool never samples and draws nothing
+	}
+	rows := [2]int{c.PhysRowAt(bank, rowA), c.PhysRowAt(bank, rowB)}
+	cut := rng.BoolCut(m.SampleP)
+	for i := 0; i < n; i++ {
+		// Bool(p) for p >= 1 samples without a draw.
+		if m.SampleP < 1 && m.src.Uint64()>>11 >= cut {
+			continue
+		}
+		m.sampler[m.nextSlot] = [2]int{bank, rows[i%2]}
+		if m.filled < m.Entries {
+			m.filled++
+		}
+		m.nextSlot = (m.nextSlot + 1) % m.Entries
+	}
 }
 
 // OnAutoRefresh implements Mitigation: refresh neighbours of all
@@ -364,6 +476,29 @@ func (m *ANVIL) OnActivate(c *Controller, bank, logRow int) {
 		m.flagged[k] = true
 	}
 	m.window = m.window[:0]
+}
+
+// Horizon implements Mitigation: ANVIL acts at the sample that
+// completes its interval, which LoadState guarantees is still ahead.
+func (m *ANVIL) Horizon(c *Controller, bank, rowA, rowB, n int) int {
+	rate := int64(m.SampleRate)
+	if rate <= 0 {
+		return 0
+	}
+	next := rate - 1 - m.sampleCount%rate // activations before the next sample
+	need := max(int64(m.IntervalSamples-len(m.window)), 1)
+	return int(min(int64(n), next+(need-1)*rate))
+}
+
+// ObserveN implements Mitigation: record the samples that fall among
+// the n activations.
+func (m *ANVIL) ObserveN(c *Controller, bank, rowA, rowB, n int) {
+	rate := int64(m.SampleRate)
+	rows := [2]int{rowA, rowB}
+	for i := rate - 1 - m.sampleCount%rate; i < int64(n); i += rate {
+		m.window = append(m.window, rowKey{bank, rows[i%2]})
+	}
+	m.sampleCount += int64(n)
 }
 
 // OnAutoRefresh implements Mitigation.

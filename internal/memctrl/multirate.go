@@ -26,9 +26,9 @@ import (
 // w % m == 0 — the same cadence as raidr.Engine, now at REF-command
 // granularity on every rank of the channel.
 //
-// It is a passive mitigation: it observes no activations, so the
-// batched hammer hot path stays enabled and attack sweeps against
-// multi-rate systems run at full speed.
+// It is a passive mitigation: it observes no activations, so its
+// hammer horizon is unbounded and attack sweeps against multi-rate
+// systems run at full batched speed.
 type MultiRateRefresh struct {
 	// DefaultPlan is applied to every flat bank without an explicit
 	// override.
@@ -145,6 +145,13 @@ func (m *MultiRateRefresh) Name() string { return "RAIDR(multi-rate)" }
 // OnActivate implements Mitigation (the policy observes nothing).
 func (m *MultiRateRefresh) OnActivate(c *Controller, bank, logRow int) {}
 
+// Horizon implements Mitigation: the policy never acts on an
+// activation.
+func (m *MultiRateRefresh) Horizon(c *Controller, bank, rowA, rowB, n int) int { return n }
+
+// ObserveN implements Mitigation (nothing to observe).
+func (m *MultiRateRefresh) ObserveN(c *Controller, bank, rowA, rowB, n int) {}
+
 // OnAutoRefresh implements Mitigation (the row schedule runs through
 // the controller's refresh engine, not the mitigation hook).
 func (m *MultiRateRefresh) OnAutoRefresh(c *Controller) {}
@@ -164,8 +171,8 @@ func (m *MultiRateRefresh) StorageBits() int64 {
 	return total
 }
 
-// Passive implements the passiveMitigation hook: attaching
-// MultiRateRefresh must not disable the batched hammer hot path.
+// Passive marks MultiRateRefresh as observing no activations (its
+// Horizon is unbounded).
 func (m *MultiRateRefresh) Passive() {}
 
 // SavedFraction returns the fraction of scheduled row refreshes the

@@ -210,3 +210,64 @@ func TestSystemStateRoundTrip(t *testing.T) {
 		t.Fatal("aggregate device stats differ after resume")
 	}
 }
+
+// TestMitigationLoadStateRejectsHugeCounts pins that the mitigation
+// loaders bound every decoded count by the payload left to read: a
+// hand-built payload claiming 1<<40 entries must fail with ErrCorrupt,
+// not allocate for them. ANVIL also refuses a window that already holds
+// a full interval, the invariant its hammer horizon relies on.
+func TestMitigationLoadStateRejectsHugeCounts(t *testing.T) {
+	const huge = 1 << 40
+	for _, tc := range []struct {
+		name    string
+		m       StatefulMitigation
+		payload func(w *snapshot.Writer)
+	}{
+		{"CRA", NewCRA(1000, 1, 64), func(w *snapshot.Writer) {
+			w.Tag("mit.CRA")
+			w.I64(0)
+			w.I64(0)
+			w.U64(huge)
+		}},
+		{"ANVIL/window", NewANVIL(), func(w *snapshot.Writer) {
+			w.Tag("mit.ANVIL")
+			w.I64(0)
+			w.I64(0)
+			w.U64(huge)
+		}},
+		{"ANVIL/flagged", NewANVIL(), func(w *snapshot.Writer) {
+			w.Tag("mit.ANVIL")
+			w.I64(0)
+			w.I64(0)
+			w.U64(0)
+			w.U64(huge)
+		}},
+		{"ANVIL/full-window", NewANVIL(), func(w *snapshot.Writer) {
+			w.Tag("mit.ANVIL")
+			w.I64(0)
+			w.I64(0)
+			w.U64(256)
+			for i := 0; i < 256; i++ {
+				w.Int(0)
+				w.Int(7)
+			}
+			w.U64(0)
+		}},
+		{"TWiCe", NewTWiCe(1000, 1), func(w *snapshot.Writer) {
+			w.Tag("mit.TWiCe")
+			w.I64(0)
+			w.I64(0)
+			w.Int(0)
+			w.U64(1)
+			w.U64(huge)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w snapshot.Writer
+			tc.payload(&w)
+			if err := tc.m.LoadState(snapshot.NewReader(w.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+		})
+	}
+}

@@ -80,13 +80,13 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 	if err := stagedSrc.LoadState(r); err != nil {
 		return err
 	}
-	n := r.U64()
+	n := r.Count(51) // the 51 payload bytes of one weak cell below
 	if err := r.Err(); err != nil {
 		return err
 	}
 	staged := make([]*weakCell, 0, n)
 	bitsPerRow := geom.BitsPerRow()
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		wc := &weakCell{
 			bank:       r.Int(),
 			physRow:    r.Int(),

@@ -1,6 +1,7 @@
 package retention
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -105,5 +106,22 @@ func TestModelLoadStateRejectsParamMismatch(t *testing.T) {
 	err := m2.LoadState(snapshot.NewReader(w.Bytes()))
 	if !errors.Is(err, snapshot.ErrMismatch) {
 		t.Fatalf("want ErrMismatch, got %v", err)
+	}
+}
+
+// TestModelLoadStateRejectsHugeCellCount pins that a corrupt cell count
+// is refused before anything is sized from it: a payload claiming 1<<40
+// cells must fail with ErrCorrupt, not allocate for them.
+func TestModelLoadStateRejectsHugeCellCount(t *testing.T) {
+	_, m := buildRetention(3)
+	var w snapshot.Writer
+	m.SaveState(&w)
+	b := w.Bytes()
+	// The cell count is the last fixed field; 51 bytes per cell follow.
+	off := len(b) - 51*len(m.cells) - 8
+	binary.BigEndian.PutUint64(b[off:], 1<<40)
+	fresh := NewModel(m.geom, m.params, rng.New(3))
+	if err := fresh.LoadState(snapshot.NewReader(b)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }

@@ -118,6 +118,13 @@ func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
+// BoolCut returns the integer cut of Bool(p) for 0 < p < 1, where
+// Bool(p) draws exactly one Uint64 u and returns u>>11 < BoolCut(p):
+// Float64 is u>>11 scaled by 2^-53, which is exact, and an integer x
+// satisfies x*2^-53 < p iff x < ceil(p*2^53). Loops drawing many Bools
+// with one p compare against the cut instead of converting each draw.
+func BoolCut(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
 // Normal returns a sample from the normal distribution with the given
 // mean and standard deviation, using the Marsaglia polar method.
 func (s *Stream) Normal(mean, stddev float64) float64 {

@@ -101,6 +101,32 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
+// TestBoolCutMatchesBool pins BoolCut's identity: for 0 < p < 1,
+// Bool(p) is exactly Uint64()>>11 < BoolCut(p), both on stream draws
+// and at the 53-bit values on either side of the cut, including
+// probabilities that are exact multiples of 2^-53.
+func TestBoolCutMatchesBool(t *testing.T) {
+	ps := []float64{5e-324, 1e-300, 1e-9, 0.005, 0.01, 0.3, 0.5,
+		3.0 / (1 << 53), 1 - 1.0/(1<<53), math.Nextafter(0.01, 1)}
+	for _, p := range ps {
+		cut := BoolCut(p)
+		for _, x := range []uint64{cut - 1, cut, cut + 1} {
+			if x >= 1<<53 || (x == cut-1 && cut == 0) {
+				continue
+			}
+			if want, got := float64(x)/(1<<53) < p, x < cut; got != want {
+				t.Fatalf("p=%v x=%d: cut test %v, float test %v", p, x, got, want)
+			}
+		}
+		a, b := New(9), New(9)
+		for i := 0; i < 20000; i++ {
+			if want, got := a.Bool(p), b.Uint64()>>11 < cut; got != want {
+				t.Fatalf("p=%v draw %d: cut %v, Bool %v", p, i, got, want)
+			}
+		}
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	s := New(5)
 	hits := 0

@@ -253,16 +253,18 @@ func (r *Reader) Bool() bool {
 	}
 }
 
-// sliceLen reads and bounds-checks a slice length.
-func (r *Reader) sliceLen() int {
+// Count reads the element count of a sequence whose elements each
+// occupy at least elemBytes payload bytes, and fails (returning 0) when
+// the rest of the payload cannot hold that many. Decoders size their
+// allocations from it, so a corrupt count can never demand more memory
+// than the payload it came in.
+func (r *Reader) Count(elemBytes int) int {
 	n := r.U64()
 	if r.err != nil {
 		return 0
 	}
-	if n > maxSliceLen || int(n) > r.Remaining() {
-		// Every element is at least one byte, so a length beyond the
-		// remaining payload is structurally impossible.
-		r.fail("implausible slice length %d at offset %d", n, r.off-8)
+	if n > maxSliceLen || int(n)*elemBytes > r.Remaining() {
+		r.fail("implausible element count %d at offset %d", n, r.off-8)
 		return 0
 	}
 	return int(n)
@@ -270,8 +272,7 @@ func (r *Reader) sliceLen() int {
 
 // Bytes8 reads a length-prefixed byte slice (copy).
 func (r *Reader) Bytes8() []byte {
-	n := r.sliceLen()
-	b := r.take(n)
+	b := r.take(r.Count(1))
 	if b == nil {
 		return nil
 	}
@@ -283,12 +284,8 @@ func (r *Reader) String() string { return string(r.Bytes8()) }
 
 // U64s reads a length-prefixed []uint64.
 func (r *Reader) U64s() []uint64 {
-	n := r.U64()
+	n := r.Count(8)
 	if r.err != nil {
-		return nil
-	}
-	if n > maxSliceLen || int(n)*8 > r.Remaining() {
-		r.fail("implausible slice length %d at offset %d", n, r.off-8)
 		return nil
 	}
 	out := make([]uint64, n)
