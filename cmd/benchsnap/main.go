@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -23,27 +24,32 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "benchsnap:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	out := flag.String("o", "", "output file (required)")
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "benchsnap: -o is required")
-		os.Exit(2)
+		return errors.New("-o is required")
 	}
 
 	// Open the output before the multi-second experiment run so an
 	// unwritable path fails fast.
 	f, err := os.Create(*out)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
+	defer f.Close()
 
 	micro, err := exp.ParseGoBench(os.Stdin)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchsnap: reading stdin: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("reading stdin: %w", err)
 	}
 
 	runner := &exp.Runner{Workers: *workers, Seed: *seed}
@@ -52,8 +58,7 @@ func main() {
 	wall := time.Since(start)
 	for _, r := range results {
 		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "benchsnap: %s: %v\n", r.ID, r.Err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", r.ID, r.Err)
 		}
 	}
 	snap := exp.Snapshot{
@@ -63,13 +68,12 @@ func main() {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(snap); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "benchsnap: wrote %s (%d experiments, %d microbenchmarks, total %.1f ms)\n",
 		*out, len(results), len(micro), float64(wall)/float64(time.Millisecond))
+	return nil
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -43,10 +44,24 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a submitted spec body. Real specs, fleet
+// configuration included, are a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
+// handleSubmit decodes a Spec strictly: a body over maxSpecBytes is
+// refused with 413, and malformed JSON or a field Spec does not define
+// (a misspelled option would otherwise be silently ignored) with 400.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+	if err := dec.Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	view, err := s.Submit(spec)

@@ -166,3 +166,63 @@ func TestHTTPResultBeforeTerminalConflicts(t *testing.T) {
 	_ = s.Cancel(v.ID)
 	waitTerminal(t, s, v.ID)
 }
+
+// TestHTTPSubmitStrictDecoding pins the submit endpoint's input
+// bounds: an oversized body is refused with 413, a field Spec does not
+// define with 400, and specs using every defined field still submit.
+func TestHTTPSubmitStrictDecoding(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Reset()
+	s := NewService(t.TempDir())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body string) (int, View) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v View
+		if resp.StatusCode == http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, v
+	}
+
+	oversized := `{"kind":"fieldstudy","checkpoint":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	if code, _ := post(oversized); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d, want 413", code)
+	}
+	for _, body := range []string{
+		`{"kind":"fieldstudy","seed":1,"wrokers":2}`,
+		`{"kind":"fieldstudy","seed":1,"fleet":{"months":2,"dimm_count":5}}`,
+	} {
+		if code, _ := post(body); code != http.StatusBadRequest {
+			t.Fatalf("unknown field in %s: %d, want 400", body, code)
+		}
+	}
+
+	full, err := json.Marshal(Spec{
+		Kind: "fieldstudy", Seed: 3, Workers: 2, CheckpointEvery: 4,
+		Checkpoint: "strict.ckpt", DeadlineMS: 60000, MaxRetries: 1,
+		RetryBackoffMS: 10, Fleet: testFleet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		string(full),
+		`{"kind":"experiments","seed":1,"workers":1,"experiments":["E1"]}`,
+	} {
+		code, v := post(body)
+		if code != http.StatusAccepted {
+			t.Fatalf("valid spec %s: %d, want 202", body, code)
+		}
+		if fin := waitTerminal(t, s, v.ID); fin.Status != StatusDone {
+			t.Fatalf("valid spec %s finished %s: %s", body, fin.Status, fin.Error)
+		}
+	}
+}

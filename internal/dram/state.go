@@ -65,6 +65,9 @@ func (d *Device) LoadState(r *snapshot.Reader) error {
 	if refreshPtr < 0 || refreshPtr >= g.Rows {
 		return snapshot.Corruptf("refresh pointer %d out of range", refreshPtr)
 	}
+	if len(physRemap) != g.Rows {
+		return snapshot.Corruptf("remap table has %d rows, want %d", len(physRemap), g.Rows)
+	}
 	remap, err := RemapFromPhysSlice(physRemap)
 	if err != nil {
 		return snapshot.Corruptf("remap table: %v", err)

@@ -86,3 +86,31 @@ func TestDeviceLoadStateRejectsTruncation(t *testing.T) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
+
+// TestDeviceLoadStateRejectsShortRemap pins that a remap table must
+// cover every row: a shorter one would load and then panic on the
+// first activation past its end.
+func TestDeviceLoadStateRejectsShortRemap(t *testing.T) {
+	g := Geometry{Banks: 1, Rows: 16, Cols: 4}
+	var w snapshot.Writer
+	w.Tag("dram.Device")
+	w.Int(g.Banks)
+	w.Int(g.Rows)
+	w.Int(g.Cols)
+	for i := 0; i < 7; i++ { // stats, energy and refresh pointer
+		w.U64(0)
+	}
+	w.Ints([]int{1, 0})
+	w.Int(-1)
+	w.U64(uint64(g.Rows))
+	for i := 0; i < g.Rows+g.Rows*g.Cols; i++ {
+		w.U64(0)
+	}
+	d := NewDevice(g)
+	if err := d.LoadState(snapshot.NewReader(w.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt, got %v", err)
+	}
+	if d.PhysRow(g.Rows-1) != g.Rows-1 {
+		t.Fatal("failed load replaced the remap table")
+	}
+}

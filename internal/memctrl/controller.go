@@ -393,7 +393,7 @@ func (c *Controller) AccessRanked(rank int, co Coord, write bool, data uint64) (
 	} else {
 		out = dev.Read(co.Bank, co.Col)
 		if c.ecc != nil {
-			out = c.ecc.onRead(&c.Stats, rank, co.Bank, phys, co.Col, out)
+			out = c.ecc.onReads(&c.Stats, rank, co.Bank, phys, co.Col, out, 1)
 		}
 	}
 	c.Stats.Accesses++
@@ -421,9 +421,10 @@ func (c *Controller) HammerPairs(bank, rowA, rowB, pairs int) {
 
 // HammerPairsRanked is HammerPairs on an explicit rank. It is
 // behaviourally identical to the equivalent AccessRanked loop (same
-// timing, refresh interleaving, stats, mitigation state and fault
-// physics, bit for bit) but batches whole runs of the sweep into single
-// device calls, amortizing per-activation bookkeeping across each run.
+// timing, refresh interleaving, stats, ECC counts, mitigation state and
+// fault physics, bit for bit) but batches whole runs of the sweep into
+// single device calls, amortizing per-activation bookkeeping across
+// each run.
 //
 // A batched run never spans a REF command, and it never spans an
 // activation at which an attached mitigation acts: each run is capped
@@ -432,11 +433,13 @@ func (c *Controller) HammerPairs(bank, rowA, rowB, pairs int) {
 // goes through the per-access path, which is exact by construction.
 // Passive mitigations have an unbounded horizon and cost nothing.
 //
-// The whole sweep takes the per-access path when the controller has an
-// ECC layer (ECC classifies the data of every read, and BatchReads
-// transfers none — a previously corrupted aggressor word must count an
-// ECC event per read) or when dram.Device.PairBatchable declines the
-// row pair.
+// An ECC layer classifies each run's reads in bulk: one onReads call
+// per aggressor row counts all k reads of its col-0 word. That is exact
+// because PairBatchable admits no fault cell in a hammered row that the
+// run can flip, and nothing else writes a hammered row inside a run, so
+// the word every read of a row returns is constant across the run. The
+// whole sweep takes the per-access path only when
+// dram.Device.PairBatchable declines the row pair.
 func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 	coA := Coord{Bank: bank, Row: rowA}
 	coB := Coord{Bank: bank, Row: rowB}
@@ -445,14 +448,14 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 		c.AccessRanked(rank, coB, false, 0)
 	}
 	dev := c.ranks[rank]
-	if c.ecc != nil || !dev.PairBatchable(bank, rowA, rowB) {
+	if !dev.PairBatchable(bank, rowA, rowB) {
 		for i := 0; i < pairs; i++ {
 			naivePair()
 		}
 		return
 	}
 	flat := rank*c.cfg.Geom.Banks + bank
-	physB := dev.PhysRow(rowB)
+	physA, physB := dev.PhysRow(rowA), dev.PhysRow(rowB)
 	t := dev.Timing
 	// In the steady row-conflict state every access activates exactly
 	// max(tRC, tRP+tRCD+tCL+tBURST) after the previous activation and
@@ -496,6 +499,10 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 			m.ObserveN(c, flat, rowA, rowB, 2*k)
 		}
 		dev.BatchReads(bank, 2*k)
+		if c.ecc != nil {
+			c.ecc.onReads(&c.Stats, rank, bank, physA, 0, dev.PhysRowWords(bank, physA)[0], int64(k))
+			c.ecc.onReads(&c.Stats, rank, bank, physB, 0, dev.PhysRowWords(bank, physB)[0], int64(k))
+		}
 		end := last + s
 		c.Stats.Accesses += int64(2 * k)
 		c.Stats.RowConflicts += int64(2 * k)

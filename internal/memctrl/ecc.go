@@ -157,14 +157,17 @@ func (l *eccLayer) onWrite(rank, bank, physRow, col int, data uint64) {
 	l.shadow[rank][bank][physRow*l.rowWords+col] = data
 }
 
-// onRead classifies a read word against its shadow, bumps the ECC
-// stats, and returns the data the requester sees: the original word
-// when the code corrects, the raw word when it only detects, and the
-// (wrong) decoder output on a silent miscorrection. Clean reads cost
-// nothing and count nothing. The repeated-read behaviour is real:
-// demand reads do not scrub, so an uncorrected word counts an event on
-// every read until a write or patrol scrub repairs it.
-func (l *eccLayer) onRead(st *Stats, rank, bank, physRow, col int, got uint64) uint64 {
+// onReads classifies n reads of the same word against its shadow,
+// adds n to the matching ECC counter, and returns the data the
+// requester sees: the original word when the code corrects, the raw
+// word when it only detects, and the (wrong) decoder output on a silent
+// miscorrection. Clean reads cost one compare and count nothing. The
+// repeated-read behaviour is real: demand reads do not scrub, so an
+// uncorrected word counts an event on every read until a write or
+// patrol scrub repairs it. A single read is onReads(..., 1); batched
+// hammer runs pass the run's read count, which is exact because the
+// aggressor word cannot change inside a run.
+func (l *eccLayer) onReads(st *Stats, rank, bank, physRow, col int, got uint64, n int64) uint64 {
 	want := l.shadow[rank][bank][physRow*l.rowWords+col]
 	if got == want {
 		return got
@@ -172,11 +175,11 @@ func (l *eccLayer) onRead(st *Stats, rank, bank, physRow, col int, got uint64) u
 	val, oc := l.classify(want, got)
 	switch oc {
 	case eccCorrected:
-		st.ECCCorrected++
+		st.ECCCorrected += n
 	case eccDetected:
-		st.ECCDetected++
+		st.ECCDetected += n
 	default:
-		st.ECCSilent++
+		st.ECCSilent += n
 	}
 	return val
 }

@@ -68,8 +68,8 @@ func eccDriveWorkload(c *Controller) {
 // TestECCCleanTrafficTransparent pins the equivalence contract of the
 // ECC layer: on clean traffic (no corrupted words) an ECC controller
 // is bit-identical to a plain one — same data, same clocks, same
-// device stats, zero ECC events. This is also the batched-vs-naive
-// hammer equivalence, since ECC forces the exact per-access path.
+// device stats, zero ECC events. TestECCHammerPairsMatchesAccessLoop
+// pins the batched hammer sweep against the per-access loop under ECC.
 func TestECCCleanTrafficTransparent(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
 	build := func(cfg Config) *Controller {

@@ -27,10 +27,10 @@ type hammerSystem struct {
 }
 
 func newHammerSystem(t testing.TB, g dram.Geometry, seed uint64, withRetention bool, mult float64) *hammerSystem {
-	return newHammerRig(t, g, 1, seed, withRetention, mult)
+	return newHammerRig(t, g, 1, seed, withRetention, Config{RefreshMultiplier: mult})
 }
 
-func newHammerRig(t testing.TB, g dram.Geometry, ranks int, seed uint64, withRetention bool, mult float64) *hammerSystem {
+func newHammerRig(t testing.TB, g dram.Geometry, ranks int, seed uint64, withRetention bool, cfg Config) *hammerSystem {
 	t.Helper()
 	s := &hammerSystem{}
 	for rk := 0; rk < ranks; rk++ {
@@ -61,7 +61,7 @@ func newHammerRig(t testing.TB, g dram.Geometry, ranks int, seed uint64, withRet
 		s.devs = append(s.devs, dev)
 		s.dms = append(s.dms, dm)
 	}
-	s.ctrl = NewMultiRank(s.devs, Config{RefreshMultiplier: mult})
+	s.ctrl = NewMultiRank(s.devs, cfg)
 	return s
 }
 
@@ -111,6 +111,27 @@ func naiveHammerPairs(c *Controller, rank, bank, rowA, rowB, pairs int) {
 		c.AccessRanked(rank, coA, false, 0)
 		c.AccessRanked(rank, coB, false, 0)
 	}
+}
+
+// sweepTwins hammers every odd victim of every rank and bank, batched
+// on fast and access by access on slow, and returns the pairs issued
+// per rig. Neighbouring victims share an aggressor row, so the two rows
+// of a pair enter it with different counts, and the uneven pair counts
+// end sweeps mid-window.
+func sweepTwins(fast, slow *hammerSystem) int {
+	g := fast.devs[0].Geom
+	pairs := 0
+	for rk := range fast.devs {
+		for b := 0; b < g.Banks; b++ {
+			for v := 1; v < g.Rows-1; v += 2 {
+				n := 500 + 37*(v%11)
+				fast.ctrl.HammerPairsRanked(rk, b, v-1, v+1, n)
+				naiveHammerPairs(slow.ctrl, rk, b, v-1, v+1, n)
+				pairs += n
+			}
+		}
+	}
+	return pairs
 }
 
 func TestHammerPairsMatchesAccessLoop(t *testing.T) {
@@ -230,7 +251,7 @@ func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*hammerSystem, []Mitigation) {
-				s := newHammerRig(t, g, tc.ranks, 31, false, 1)
+				s := newHammerRig(t, g, tc.ranks, 31, false, Config{})
 				if tc.remap {
 					for rk, dev := range s.devs {
 						dev.SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(uint64(9+rk))))
@@ -246,20 +267,7 @@ func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
 			}
 			fast, fastMits := build()
 			slow, slowMits := build()
-			// Neighbouring victims share an aggressor row, so the two
-			// rows of a pair enter it with different counts, and the
-			// uneven pair counts end sweeps mid-window.
-			pairs := 0
-			for rk := 0; rk < tc.ranks; rk++ {
-				for b := 0; b < g.Banks; b++ {
-					for v := 1; v < g.Rows-1; v += 2 {
-						n := 500 + 37*(v%11)
-						fast.ctrl.HammerPairsRanked(rk, b, v-1, v+1, n)
-						naiveHammerPairs(slow.ctrl, rk, b, v-1, v+1, n)
-						pairs += n
-					}
-				}
-			}
+			pairs := sweepTwins(fast, slow)
 			compareSystems(t, fast, slow, tc.name)
 			for i, m := range fastMits {
 				sm, ok := m.(StatefulMitigation)
@@ -285,6 +293,117 @@ func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
 	}
 }
 
+// TestECCHammerPairsMatchesAccessLoop proves that applying ECC per
+// batched run is exact: under SECDED, in-DRAM ECC and chipkill, with
+// aggressor words clean (written through the controller) and dirty
+// (corrupted behind it), alone and stacked with PARA or with Graphene
+// and a patrol Scrubber, the batched sweep leaves the controller (ECC
+// counters, shadow and mitigation state included), the devices and the
+// fault models bit-identical to the per-access loop. Dirty aggressors
+// carry a 1-bit, a spread 2-bit, a nibble-packed 3-bit and a
+// four-nibble 4-bit pattern in col 0, which every code splits across
+// all three ECC classes; each row of a pair carries a different one.
+func TestECCHammerPairsMatchesAccessLoop(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 4}
+	corruptions := [][]int{{7}, {3, 40}, {0, 1, 2}, {0, 17, 33, 50}}
+	type rigKind struct {
+		name  string
+		ranks int
+		remap bool
+	}
+	rigs := []rigKind{{"2-rank", 2, false}, {"remapped", 1, true}}
+	type eccCase struct {
+		name  string
+		kind  ECCKind
+		dirty bool
+		// scrub marks a case whose patrol Scrubber also classifies
+		// words, so not every ECC event comes from a hammer read.
+		scrub bool
+		mits  func(s *hammerSystem) []Mitigation
+	}
+	var cases []eccCase
+	for _, kind := range []ECCKind{ECCSECDED72, ECCInDRAM, ECCChipkill} {
+		cases = append(cases,
+			eccCase{kind.String() + "/clean", kind, false, false, nil},
+			eccCase{kind.String() + "/dirty", kind, true, false, nil})
+	}
+	cases = append(cases,
+		eccCase{"secded+PARA/dirty", ECCSECDED72, true, false, func(*hammerSystem) []Mitigation {
+			return []Mitigation{NewPARA(0.02, InController, nil, rng.New(3))}
+		}},
+		eccCase{"secded+Graphene+Scrubber/dirty", ECCSECDED72, true, true, func(s *hammerSystem) []Mitigation {
+			gr := NewGraphene(4, 700, len(s.devs)*g.Banks)
+			gr.WindowREFs = 24
+			return []Mitigation{gr, NewScrubber(4)}
+		}})
+	for _, rig := range rigs {
+		for _, tc := range cases {
+			name := tc.name + "/" + rig.name
+			t.Run(name, func(t *testing.T) {
+				build := func() *hammerSystem {
+					s := newHammerRig(t, g, rig.ranks, 37, true, Config{ECC: ECCConfig{Kind: tc.kind}})
+					for rk, dev := range s.devs {
+						if rig.remap {
+							dev.SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(uint64(13+rk))))
+						}
+						for b := 0; b < g.Banks; b++ {
+							for row := 0; row < g.Rows; row++ {
+								pat := uint64(0xaaaaaaaaaaaaaaaa)
+								if row%2 == 1 {
+									pat = 0x5555555555555555
+								}
+								for col := 0; col < g.Cols; col++ {
+									s.ctrl.AccessRanked(rk, Coord{Bank: b, Row: row, Col: col}, true, pat^uint64(row))
+								}
+							}
+						}
+					}
+					if tc.dirty {
+						for _, dev := range s.devs {
+							for b := 0; b < g.Banks; b++ {
+								for row := 0; row < g.Rows; row += 2 {
+									phys := dev.PhysRow(row)
+									for _, bit := range corruptions[(row/2)%len(corruptions)] {
+										dev.SetPhysBit(b, phys, bit, dev.PhysBit(b, phys, bit)^1)
+									}
+								}
+							}
+						}
+					}
+					if tc.mits != nil {
+						for _, m := range tc.mits(s) {
+							s.ctrl.Attach(m)
+						}
+					}
+					return s
+				}
+				fast, slow := build(), build()
+				pairs := sweepTwins(fast, slow)
+				compareSystems(t, fast, slow, name)
+				var wa, wb snapshot.Writer
+				fast.ctrl.SaveState(&wa)
+				slow.ctrl.SaveState(&wb)
+				if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+					t.Fatalf("%s: controller saved state differs between batched and naive sweeps", name)
+				}
+				if fast.ctrl.Stats.AutoRefreshes == 0 {
+					t.Fatal("no auto-refresh during the sweep; test is vacuous")
+				}
+				if fast.ctrl.batchedPairs == 0 {
+					t.Fatal("no pair took the batched path; test is vacuous")
+				}
+				st := fast.ctrl.Stats
+				if tc.dirty && !tc.scrub && (st.ECCCorrected == 0 || st.ECCDetected == 0 || st.ECCSilent == 0) {
+					t.Fatalf("ECC classes %d/%d/%d: a class saw no hammer read; test is vacuous",
+						st.ECCCorrected, st.ECCDetected, st.ECCSilent)
+				}
+				t.Logf("%d of %d pairs batched; ECC %d corrected, %d detected, %d silent",
+					fast.ctrl.batchedPairs, pairs, st.ECCCorrected, st.ECCDetected, st.ECCSilent)
+			})
+		}
+	}
+}
+
 func TestHammerPairsDegenerateCases(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
 	fast := newHammerSystem(t, g, 41, false, 1)
@@ -298,9 +417,9 @@ func TestHammerPairsDegenerateCases(t *testing.T) {
 }
 
 // BenchmarkHammerPairsMitigated measures the double-sided hammer sweep
-// with one mitigation attached, in ns per activation, on a device
-// without fault models so the figure is the controller and mitigation
-// cost alone.
+// with one mitigation, or SECDED and no mitigation, attached, in ns per
+// activation, on a device without fault models so the figure is the
+// controller, mitigation and ECC read-path cost alone.
 func BenchmarkHammerPairsMitigated(b *testing.B) {
 	g := dram.Geometry{Banks: 1, Rows: 512, Cols: 4}
 	const (
@@ -309,18 +428,22 @@ func BenchmarkHammerPairsMitigated(b *testing.B) {
 	)
 	for _, bc := range []struct {
 		name string
-		mit  func() Mitigation
+		cfg  Config
+		mit  func() Mitigation // nil attaches none
 	}{
-		{"para", func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(1)) }},
-		{"trr", func() Mitigation { return NewTRR(8, 0.01, rng.New(2)) }},
-		{"cra", func() Mitigation { return NewCRA(threshold, g.Banks, g.Rows) }},
-		{"graphene", func() Mitigation { return NewGraphene(8, threshold, g.Banks) }},
-		{"twice", func() Mitigation { return NewTWiCe(threshold, g.Banks) }},
-		{"anvil", func() Mitigation { return NewANVIL() }},
+		{"para", Config{}, func() Mitigation { return NewPARA(0.01, InDRAM, nil, rng.New(1)) }},
+		{"trr", Config{}, func() Mitigation { return NewTRR(8, 0.01, rng.New(2)) }},
+		{"cra", Config{}, func() Mitigation { return NewCRA(threshold, g.Banks, g.Rows) }},
+		{"graphene", Config{}, func() Mitigation { return NewGraphene(8, threshold, g.Banks) }},
+		{"twice", Config{}, func() Mitigation { return NewTWiCe(threshold, g.Banks) }},
+		{"anvil", Config{}, func() Mitigation { return NewANVIL() }},
+		{"secded", Config{ECC: ECCConfig{Kind: ECCSECDED72}}, nil},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			ctrl := New(dram.NewDevice(g), Config{})
-			ctrl.Attach(bc.mit())
+			ctrl := New(dram.NewDevice(g), bc.cfg)
+			if bc.mit != nil {
+				ctrl.Attach(bc.mit())
+			}
 			acts := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,9 @@
 package memctrl
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/disturb"
@@ -270,4 +272,66 @@ func TestMitigationLoadStateRejectsHugeCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzSnapshotRig is the FuzzControllerLoadState target: a SECDED
+// controller with PARA, Graphene and a patrol Scrubber attached, so a
+// snapshot carries the device, three mitigation frames and the ECC
+// shadow.
+func fuzzSnapshotRig() *Controller {
+	g := dram.Geometry{Banks: 2, Rows: 64, Cols: 4}
+	c := New(dram.NewDevice(g), Config{ECC: ECCConfig{Kind: ECCSECDED72}})
+	c.Attach(NewPARA(0.01, InController, nil, rng.New(1)))
+	c.Attach(NewGraphene(4, 500, g.Banks))
+	c.Attach(NewScrubber(2))
+	return c
+}
+
+// FuzzControllerLoadState pins the snapshot loader's robustness
+// contract: arbitrary bytes either fail to load or load, without a
+// panic and without allocating from a count the payload cannot back,
+// and a state that loads is a fixpoint of SaveState and LoadState.
+func FuzzControllerLoadState(f *testing.F) {
+	c := fuzzSnapshotRig()
+	for r := 0; r < 64; r += 5 {
+		c.AccessCoord(Coord{Bank: r % 2, Row: r, Col: r % 4}, true, uint64(r)*0x9e3779b97f4a7c15)
+	}
+	c.HammerPairs(1, 10, 12, 3000)
+	corruptWord(c, 1, 10, 0, 3, 40)
+	c.HammerPairs(1, 10, 12, 500)
+	var w snapshot.Writer
+	c.SaveState(&w)
+	valid := w.Bytes()
+	if err := fuzzSnapshotRig().LoadState(snapshot.NewReader(valid)); err != nil {
+		f.Fatalf("the rig's own snapshot does not load: %v", err)
+	}
+	f.Add(valid)
+	for _, n := range []int{0, 1, 8, 32, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := fuzzSnapshotRig()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.LoadState(snapshot.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// Staging the rig's own state takes a few KiB; anything
+		// beyond the slack must have been sized from the payload.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+16*uint64(len(data)) {
+			t.Fatalf("LoadState of %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		var s1, s2 snapshot.Writer
+		c.SaveState(&s1)
+		d := fuzzSnapshotRig()
+		if err := d.LoadState(snapshot.NewReader(s1.Bytes())); err != nil {
+			t.Fatalf("reloading a state that loaded failed: %v", err)
+		}
+		d.SaveState(&s2)
+		if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
+			t.Fatal("SaveState -> LoadState -> SaveState is not a fixpoint")
+		}
+	})
 }
