@@ -297,15 +297,21 @@ func (m *Model) restoreRow(bank, physRow int) {
 // of per-activation OnActivate calls would. Three properties make this
 // possible for single-row and alternating-pair bursts:
 //
-//  1. Flips land only in victim rows, never in the hammered row(s)
-//     themselves (a cell is never its own aggressor, and pair batching
-//     declines when a hammered row hosts a cell coupled to the other
-//     hammered row). The aggressor rows' bits — and with them the
-//     data-pattern-dependent weights — are therefore constant across
-//     the burst.
-//  2. Cells residing in a hammered row receive no pressure during the
-//     burst, so restoring them once up front is identical to restoring
-//     them on every activation.
+//  1. After a pair burst's first activation, flips land only in victim
+//     rows, never in the hammered row(s) themselves: a cell is never
+//     its own aggressor, and a cell residing in one hammered row and
+//     coupled to the other is restored by every activation of its own
+//     row, so it holds at most one activation's worth of pressure,
+//     which BatchablePair requires to stay below its threshold. The
+//     aggressor rows' bits — and with them the data-pattern-dependent
+//     weights — are therefore constant across the rest of the burst.
+//  2. A cell residing in a hammered row ends the burst in a closed
+//     form: restored (pressure 0) if nothing else disturbs it, or
+//     holding one activation of the other hammered row if it is
+//     coupled to the row hammered last. The only state-dependent step
+//     is the burst's first rowA activation, which lands on rowB's cells
+//     with their pre-burst pressure and may flip one of them; it is
+//     applied first, before any rowB weight is read.
 //  3. Distinct cells are independent: each cell's pressure additions
 //     form the same float sequence whether interleaved with other
 //     cells' or not. Only duplicate (bank,row,bit) cells (possible via
@@ -334,36 +340,56 @@ func (m *Model) OnActivateBatch(d *dram.Device, bank, physRow, n int, start, per
 
 // BatchablePair implements dram.HammerFaultModel: an alternating
 // rowA/rowB burst batches exactly unless a cell residing in one of the
-// hammered rows is coupled to either of them (its per-pair
-// restore/accumulate interleaving, and the mid-burst flips it could
-// place into a hammered row, are order-dependent), or duplicates exist.
+// hammered rows and coupled to the other could flip from a single
+// activation (its threshold is at most maxStep of its weight), or
+// duplicates exist. Such a cell is restored by every activation of its
+// own row, so below that bound it never flips after the burst's first
+// activation (see the batching contract). The answer depends only on
+// the cell population, so it holds for a whole sweep of the pair.
 func (m *Model) BatchablePair(bank, rowA, rowB int) bool {
 	if m.dup || rowA == rowB {
 		return false
 	}
 	base := bank * m.geom.Rows
 	for _, inf := range m.aggIdx[base+rowA] {
-		if r := inf.cell.physRow; r == rowA || r == rowB {
+		if inf.cell.physRow == rowB && inf.cell.threshold <= m.maxStep(inf.weight) {
 			return false
 		}
 	}
 	for _, inf := range m.aggIdx[base+rowB] {
-		if r := inf.cell.physRow; r == rowA || r == rowB {
+		if inf.cell.physRow == rowA && inf.cell.threshold <= m.maxStep(inf.weight) {
 			return false
 		}
 	}
 	return true
 }
 
+// maxStep returns the largest pressure one activation coupled with raw
+// weight w can add: w, or w scaled by data-pattern dependence when
+// that is larger.
+func (m *Model) maxStep(w float64) float64 {
+	if f := m.params.DPDFactor; f > 0 && f < 1 {
+		return math.Max(w, w*f)
+	}
+	return w
+}
+
 // OnHammerPairBatch implements dram.HammerFaultModel: semantically
 // identical to n repetitions of {OnActivate(rowA); OnActivate(rowB)}.
+// Cells residing in a hammered row take the closed form of the
+// batching contract: rowB's cells get the first rowA activation and
+// are then restored; rowA's cells coupled to rowB end holding one rowB
+// activation.
 func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start, period dram.Time) {
 	base := bank * m.geom.Rows
 	m.restoreRow(bank, rowA)
-	m.restoreRow(bank, rowB)
+	m.firstActivationThenRestore(d, bank, rowA, rowB)
 	aggA, aggB := m.aggIdx[base+rowA], m.aggIdx[base+rowB]
 	for _, inf := range aggA {
 		wc := inf.cell
+		if wc.physRow == rowB {
+			continue // settled by firstActivationThenRestore
+		}
 		if wB, both := influenceWeight(aggB, wc); both {
 			// Coupled to both sides: alternating additions.
 			if wc.flipped {
@@ -378,6 +404,13 @@ func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start
 	}
 	for _, inf := range aggB {
 		wc := inf.cell
+		if wc.physRow == rowA {
+			// Restored above and by every later rowA activation, so it
+			// ends holding the last rowB activation alone, which
+			// BatchablePair guarantees stays below its threshold.
+			wc.pressure += m.effWeight(d, bank, rowB, wc, inf.weight)
+			continue
+		}
 		if _, both := influenceWeight(aggA, wc); both {
 			continue // handled in the rowA pass
 		}
@@ -386,6 +419,39 @@ func (m *Model) OnHammerPairBatch(d *dram.Device, bank, rowA, rowB, n int, start
 		}
 		m.accumulate(d, wc, m.effWeight(d, bank, rowB, wc, inf.weight), n)
 	}
+}
+
+// firstActivationThenRestore applies a pair burst's first rowA
+// activation to the cells residing in rowB that rowA disturbs — the one
+// step in which they still carry their pre-burst pressure, so it may
+// flip one — and then restores rowB, as the burst's first rowB
+// activation does. Later rowA activations reach these cells restored
+// and, by BatchablePair, cannot flip them, and the burst ends on a
+// rowB activation, so they end restored. Any flip lands before the
+// caller reads a rowB weight.
+func (m *Model) firstActivationThenRestore(d *dram.Device, bank, rowA, rowB int) {
+	for _, wc := range m.victimIdx[bank*m.geom.Rows+rowB] {
+		if w, coupled := wc.weightFrom(rowA); coupled && !wc.flipped {
+			wc.pressure += m.effWeight(d, bank, rowA, wc, w)
+			if wc.pressure >= wc.threshold {
+				m.applyFlip(d, wc)
+			}
+		}
+		wc.pressure = 0
+		wc.flipped = false
+	}
+}
+
+// weightFrom returns the raw weight with which activating aggRow
+// couples wc, and whether it does.
+func (wc *weakCell) weightFrom(aggRow int) (float64, bool) {
+	switch aggRow {
+	case wc.physRow - wc.dist:
+		return wc.upWeight, true
+	case wc.physRow + wc.dist:
+		return wc.downWeight, true
+	}
+	return 0, false
 }
 
 // influenceWeight returns the weight with which list couples wc, if any.

@@ -7,6 +7,7 @@ package disturb
 // contents under identical command sequences.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dram"
@@ -157,75 +158,270 @@ func TestHammerNMatchesPerActivation(t *testing.T) {
 	}
 }
 
-func TestHammerPairConflictMatchesPerActivation(t *testing.T) {
-	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
-	dm, m, dr, r := twin(t, g, denseParams(), 1234)
-	now := dram.Time(0)
+// pairBurst issues n alternating rowA/rowB activations starting at
+// start on both twins: on the model device as one HammerPairCycles
+// (bank precharged) or HammerPairConflict (bank open) call, and on the
+// reference device activation by activation. If the model device
+// declines, it runs the same per-activation loop. It returns the time
+// after the burst's last activation and whether the burst was batched.
+func pairBurst(t *testing.T, dm, dr *dram.Device, cycles bool, bank, rowA, rowB, n int, start dram.Time) (dram.Time, bool) {
+	t.Helper()
 	const period = 49
-	// Enter the open state the conflict path requires.
-	dm.Activate(0, 0, now)
-	dr.Activate(0, 0, now)
-	batched := 0
-	for v := 1; v < g.Rows-1; v += 2 {
-		n := 200 + (v%5)*130
-		last, ok := dm.HammerPairConflict(0, v-1, v+1, n, now, period)
-		if ok {
-			batched++
-		} else {
-			// A dist-2 cell residing in v-1 or v+1 is coupled to the
-			// other hammered row; the model correctly declines and the
-			// caller issues the commands per-activation.
-			tt := now
-			for i := 0; i < 2*n; i++ {
-				row := v - 1
-				if i%2 == 1 {
-					row = v + 1
-				}
-				dm.Precharge(0)
-				dm.Activate(0, row, tt)
-				tt += period
-			}
-			last = tt - period
-		}
-		tt := now
+	loop := func(d *dram.Device) dram.Time {
+		tt := start
 		for i := 0; i < 2*n; i++ {
-			row := v - 1
+			row := rowA
 			if i%2 == 1 {
-				row = v + 1
+				row = rowB
 			}
-			dr.Precharge(0)
-			dr.Activate(0, row, tt)
+			if cycles {
+				d.Activate(bank, row, tt)
+				d.Precharge(bank)
+			} else {
+				d.Precharge(bank)
+				d.Activate(bank, row, tt)
+			}
 			tt += period
 		}
-		if want := tt - period; last != want {
-			t.Fatalf("victim %d: last activation %d, want %d", v, last, want)
-		}
-		now = last + period
+		return tt - period
 	}
-	if batched == 0 {
-		t.Fatal("no pair was batched; test is vacuous")
+	var last dram.Time
+	var ok bool
+	if cycles {
+		last, ok = dm.HammerPairCycles(bank, rowA, rowB, n, start, period)
+	} else {
+		last, ok = dm.HammerPairConflict(bank, rowA, rowB, n, start, period)
+	}
+	if !ok {
+		last = loop(dm)
+	}
+	if want := loop(dr); last != want {
+		t.Fatalf("pair (%d,%d): last activation %d, want %d", rowA, rowB, last, want)
+	}
+	return last + period, ok
+}
+
+// hasCoupledResident reports whether a cell residing in one of the
+// hammered rows is coupled to the other.
+func hasCoupledResident(m *Model, bank, rowA, rowB int) bool {
+	base := bank * m.geom.Rows
+	for _, inf := range m.aggIdx[base+rowA] {
+		if inf.cell.physRow == rowB {
+			return true
+		}
+	}
+	for _, inf := range m.aggIdx[base+rowB] {
+		if inf.cell.physRow == rowA {
+			return true
+		}
+	}
+	return false
+}
+
+// sweepPairTwins bursts every (v-1, v+1) pair of a dense population,
+// many of whose aggressor rows hold distance-2 cells coupled to the
+// other aggressor, through HammerPairCycles or HammerPairConflict. Every
+// burst must batch and leave the model where the reference is. Rows
+// enter each burst with pressure left by the previous one, since
+// neighbouring victims share an aggressor.
+func sweepPairTwins(t *testing.T, cycles bool, seed uint64) {
+	t.Helper()
+	g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
+	dm, m, dr, r := twin(t, g, denseParams(), seed)
+	now := dram.Time(0)
+	if !cycles {
+		// Enter the open state the conflict path requires.
+		dm.Activate(0, 0, now)
+		dr.Activate(0, 0, now)
+	}
+	coupled := 0
+	for v := 1; v < g.Rows-1; v += 2 {
+		n := 200 + (v%5)*130
+		var ok bool
+		now, ok = pairBurst(t, dm, dr, cycles, 0, v-1, v+1, n, now)
+		if !ok {
+			t.Fatalf("victim %d: pair declined; every threshold exceeds one activation", v)
+		}
+		if hasCoupledResident(m, 0, v-1, v+1) {
+			coupled++
+		}
+	}
+	if coupled == 0 {
+		t.Fatal("no pair held a coupled resident cell; test is vacuous")
 	}
 	if m.TotalFlips() == 0 {
 		t.Fatal("no flips; test is vacuous")
 	}
-	compareState(t, dm, m, dr, r, "HammerPairConflict")
+	compareState(t, dm, m, dr, r, "pair sweep")
 	if dm.OpenRow(0) != dr.OpenRow(0) {
 		t.Fatalf("open row: model %d, reference %d", dm.OpenRow(0), dr.OpenRow(0))
 	}
-	if dm.Stats.Activates != dr.Stats.Activates || dm.Stats.OpEnergyPJ != dr.Stats.OpEnergyPJ {
+	if dm.Stats != dr.Stats {
 		t.Fatalf("stats: model %+v, reference %+v", dm.Stats, dr.Stats)
 	}
 }
 
+func TestHammerPairConflictMatchesPerActivation(t *testing.T) {
+	sweepPairTwins(t, false, 1234)
+}
+
+func TestHammerPairCyclesMatchesPerActivation(t *testing.T) {
+	sweepPairTwins(t, true, 4321)
+}
+
+// TestHammerPairCoupledAggressorsMatchReference pins the closed form
+// for cells residing in a hammered row and coupled to the other one.
+// Around each victim v it injects a distance-2 cell in rowA coupled to
+// rowB and one in rowB coupled to rowA, with both charge polarities
+// and data-pattern dependence on and off, and a distance-1 victim in v
+// on the rowB cell's column. Before some bursts rowA is hammered alone
+// until the rowB cell sits one activation below its threshold, so the
+// burst's first rowA activation flips it and the victim's rowB weight
+// changes from then on. Each pair runs through HammerPairCycles and
+// HammerPairConflict, then again with its rows swapped, and must match
+// the reference after every burst.
+func TestHammerPairCoupledAggressorsMatchReference(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
+	p := DefaultParams()
+	p.WeakCellFraction = 0 // injected cells only; DPD stays on
+	for _, cycles := range []bool{true, false} {
+		name := "conflict"
+		if cycles {
+			name = "cycles"
+		}
+		t.Run(name, func(t *testing.T) {
+			dm, m, dr, r := twin(t, g, p, 1)
+			inject := func(row, bit int, th float64, cv uint64, dist int, up, down float64) {
+				m.InjectWeakCell(0, row, bit, th, cv, dist, up, down)
+				r.InjectWeakCell(0, row, bit, th, cv, dist, up, down)
+			}
+			setBit := func(row, bit int, v uint64) {
+				dm.SetPhysBit(0, row, bit, v)
+				dr.SetPhysBit(0, row, bit, v)
+			}
+			now := dram.Time(0)
+			crossed := 0
+			for i := 0; i < 8; i++ {
+				v := 5 + 7*i
+				rowA, rowB := v-1, v+1
+				cvA, cvB := uint64(i&1), uint64(i>>1&1)
+				dpdA, dpdB := i>>2&1 == 1, i&1 == 0
+				cross := i%3 != 2
+				const bitA, bitB = 9, 20
+				// rowA's cell, coupled to rowB from below.
+				inject(rowA, bitA, 3, cvA, 2, 0.7, 1)
+				setBit(rowA, bitA, cvA)
+				setBit(rowB, bitA, aggressorBit(cvA, dpdA))
+				// rowB's cell, coupled to rowA from above.
+				const thB = 50
+				inject(rowB, bitB, thB, cvB, 2, 1, 0.6)
+				setBit(rowB, bitB, cvB)
+				setBit(rowA, bitB, aggressorBit(cvB, dpdB))
+				// A victim between them on rowB's cell's column, which
+				// sees rowB's bit flip if the first activation crosses.
+				inject(v, bitB, 150, cvB, 1, 1, 0.5)
+				setBit(v, bitB, cvB)
+				// Pre-pressure rowB's cell through single-sided rowA
+				// hammering, precharged.
+				effA := 1.0
+				if dpdB {
+					effA = p.DPDFactor
+				}
+				k := 10
+				if cross {
+					k = int(thB/effA) - 1
+				}
+				tt := now
+				dm.HammerN(0, rowA, k, now, 49)
+				for j := 0; j < k; j++ {
+					dr.Activate(0, rowA, tt)
+					dr.Precharge(0)
+					tt += 49
+				}
+				now = tt
+				for pass, rows := range [][2]int{{rowA, rowB}, {rowB, rowA}} {
+					if !cycles {
+						// The conflict path needs an open bank; open a
+						// row nothing is coupled to, which leaves the
+						// pre-pressure in place.
+						dm.Activate(0, g.Rows-1, now)
+						dr.Activate(0, g.Rows-1, now)
+						now += 49
+					}
+					var ok bool
+					now, ok = pairBurst(t, dm, dr, cycles, 0, rows[0], rows[1], 300, now)
+					if !ok {
+						t.Fatalf("pair %v declined", rows)
+					}
+					if !cycles {
+						dm.Precharge(0)
+						dr.Precharge(0)
+					}
+					if pass == 0 && cross && dm.PhysBit(0, rowB, bitB) != cvB {
+						crossed++
+					}
+					compareState(t, dm, m, dr, r, fmt.Sprintf("victim %d pass %d", v, pass))
+				}
+			}
+			if crossed == 0 {
+				t.Fatal("no first activation crossed a threshold; test is vacuous")
+			}
+			if m.TotalFlips() == 0 {
+				t.Fatal("no flips; test is vacuous")
+			}
+			if dm.Stats != dr.Stats {
+				t.Fatalf("stats: model %+v, reference %+v", dm.Stats, dr.Stats)
+			}
+		})
+	}
+}
+
+// aggressorBit returns the aggressor bit that applies data-pattern
+// dependence to a victim charged to cv (the same value) or not.
+func aggressorBit(cv uint64, dpd bool) uint64 {
+	if dpd {
+		return cv
+	}
+	return 1 - cv
+}
+
+// TestPairBatchingDeclinesHazards pins BatchablePair's remaining
+// declines. A distance-2 cell residing in row 10 coupled to row 12 with
+// a threshold above one activation's pressure no longer declines: the
+// (10,12) burst batches and must match the reference. A cell whose
+// threshold one activation can reach, identical rows and duplicate
+// cells still decline.
 func TestPairBatchingDeclinesHazards(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
-	m := NewModel(g, Invulnerable(), rng.New(1))
-	// A dist-2 cell residing in row 10 is coupled to row 12: hammering
-	// the (10,12) pair interleaves its restore and accumulate, which
-	// batching cannot reproduce.
-	m.InjectWeakCell(0, 10, 5, 3, 1, 2, 1, 1)
-	if m.BatchablePair(0, 10, 12) {
-		t.Error("pair (10,12) with a self-coupled cell must decline batching")
+	p := DefaultParams()
+	p.WeakCellFraction = 0
+	dm, m, dr, r := twin(t, g, p, 1)
+	for _, inj := range []func(bank, physRow, bit int, threshold float64, chargedVal uint64, dist int, up, down float64){
+		m.InjectWeakCell, r.InjectWeakCell,
+	} {
+		inj(0, 10, 5, 3, 1, 2, 1, 1) // threshold 3, weight 1
+		inj(0, 11, 5, 40, 1, 1, 1, 1)
+		inj(0, 20, 6, 1, 0, 2, 1, 1)   // threshold == weight
+		inj(0, 42, 6, 0.5, 0, 2, 1, 1) // DPD-reduced weight 0.25 < 0.5 <= 1
+	}
+	if !m.BatchablePair(0, 10, 12) || !m.BatchablePair(0, 8, 10) {
+		t.Error("pairs around a cell one activation cannot flip must batch")
+	}
+	for _, row := range []int{10, 11} {
+		dm.SetPhysBit(0, row, 5, 1)
+		dr.SetPhysBit(0, row, 5, 1)
+	}
+	if _, ok := pairBurst(t, dm, dr, true, 0, 10, 12, 100, 0); !ok {
+		t.Fatal("(10,12) burst declined")
+	}
+	if m.TotalFlips() == 0 {
+		t.Fatal("the row-11 victim did not flip; test is vacuous")
+	}
+	compareState(t, dm, m, dr, r, "(10,12)")
+	for _, pair := range [][2]int{{20, 22}, {22, 20}, {18, 20}, {40, 42}, {42, 44}} {
+		if m.BatchablePair(0, pair[0], pair[1]) {
+			t.Errorf("pair %v around a cell one activation can flip must decline", pair)
+		}
 	}
 	if !m.BatchablePair(0, 30, 32) {
 		t.Error("clean pair should batch")
@@ -234,9 +430,9 @@ func TestPairBatchingDeclinesHazards(t *testing.T) {
 		t.Error("identical rows must decline")
 	}
 	// Duplicate injection disables all batching.
-	m.InjectWeakCell(0, 20, 7, 3, 1, 1, 1, 1)
-	m.InjectWeakCell(0, 20, 7, 5, 0, 1, 1, 1)
-	if m.BatchableRow(0, 30) || m.BatchablePair(0, 30, 32) {
+	m.InjectWeakCell(0, 50, 7, 3, 1, 1, 1, 1)
+	m.InjectWeakCell(0, 50, 7, 5, 0, 1, 1, 1)
+	if m.BatchableRow(0, 30) || m.BatchablePair(0, 30, 32) || m.BatchablePair(0, 10, 12) {
 		t.Error("duplicate cells must disable batching")
 	}
 }

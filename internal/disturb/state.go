@@ -105,14 +105,27 @@ func (m *Model) LoadState(r *snapshot.Reader) error {
 		}
 		staged = append(staged, wc)
 	}
+	// The dup flag gates batching, so it must describe the cells: a
+	// payload claiming no duplicates while stacking two cells on one
+	// position would batch sweeps the per-access path orders
+	// differently.
+	seen := make(map[[3]int]bool, len(staged))
+	hasDup := false
+	for _, wc := range staged {
+		pos := [3]int{wc.bank, wc.physRow, wc.bit}
+		hasDup = hasDup || seen[pos]
+		seen[pos] = true
+	}
+	if dup != hasDup {
+		return snapshot.Corruptf("disturb duplicate flag %v disagrees with the cells (duplicates present: %v)", dup, hasDup)
+	}
 	// Commit: rebuild the population and indexes from scratch.
 	m.cells = nil
 	m.victimIdx = make([][]*weakCell, geom.Banks*geom.Rows)
 	m.aggIdx = make([][]influence, geom.Banks*geom.Rows)
 	m.minThreshold = math.Inf(1)
-	m.seen = make(map[[3]int]bool, len(staged))
+	m.seen = seen
 	for _, wc := range staged {
-		m.seen[[3]int{wc.bank, wc.physRow, wc.bit}] = true
 		m.addCell(wc)
 	}
 	m.dup = dup

@@ -1,6 +1,7 @@
 package disturb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -135,5 +136,52 @@ func TestModelLoadStateRejectsHugeCellCount(t *testing.T) {
 	fresh := NewModel(m.geom, m.params, rng.New(3))
 	if err := fresh.LoadState(snapshot.NewReader(b)); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestModelLoadStateRejectsDupFlagMismatch pins that the duplicate flag,
+// which gates batching, is checked against the cells it describes: a
+// payload stacking two cells on one (bank,row,bit) while claiming no
+// duplicates would load with batching enabled and make batched sweeps
+// diverge from per-access ones. Both directions of the mismatch must
+// fail with ErrCorrupt and leave the model untouched.
+func TestModelLoadStateRejectsDupFlagMismatch(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
+	for _, tc := range []struct {
+		name    string
+		cells   [][3]int // bank, row, bit
+		forgeTo byte     // the forged duplicate flag
+	}{
+		{"duplicates hidden", [][3]int{{0, 10, 3}, {0, 10, 3}}, 0},
+		{"duplicates invented", [][3]int{{0, 10, 3}, {0, 11, 3}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := NewModel(g, Invulnerable(), rng.New(1))
+			for _, c := range tc.cells {
+				src.InjectWeakCell(c[0], c[1], c[2], 50, 1, 1, 1, 0.5)
+			}
+			var w snapshot.Writer
+			src.SaveState(&w)
+			b := w.Bytes()
+			// The duplicate flag (one byte) precedes the two flip
+			// counters and the cell count; 73 bytes per cell follow.
+			off := len(b) - 73*len(src.cells) - 8 - 8 - 8 - 1
+			if b[off] == tc.forgeTo {
+				t.Fatalf("flag byte already %d; offset is wrong", b[off])
+			}
+			b[off] = tc.forgeTo
+			dst := NewModel(g, Invulnerable(), rng.New(1))
+			dst.InjectWeakCell(0, 30, 1, 70, 0, 1, 1, 1)
+			var before snapshot.Writer
+			dst.SaveState(&before)
+			if err := dst.LoadState(snapshot.NewReader(b)); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+			var after snapshot.Writer
+			dst.SaveState(&after)
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatal("failed load mutated the model")
+			}
+		})
 	}
 }

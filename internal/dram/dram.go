@@ -141,7 +141,9 @@ type FaultModel interface {
 // ..., start+(n-1)*period would — bit-identical floats included.
 // OnHammerPairBatch(bank, rowA, rowB, n, ...) must equal n repetitions
 // of {OnActivate(rowA); OnActivate(rowB)} with the same activation
-// spacing. When a model cannot guarantee that for a particular row (or
+// spacing, from whatever state earlier commands left: rowB need not
+// have been the last row activated (HammerPairCycles bursts in
+// particular start precharged). When a model cannot guarantee that for a particular row (or
 // pair), BatchableRow (or BatchablePair) must return false and leave
 // all state untouched; the device then falls back to per-activation
 // dispatch for every attached model, preserving cross-model

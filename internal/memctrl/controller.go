@@ -148,9 +148,17 @@ type Controller struct {
 	refPolicy autoRefreshPolicy `snapshot:"derived"`
 	Stats     Stats
 	// batchedPairs counts the hammer pairs HammerPairsRanked applied
-	// through the batched device path rather than access by access. It
-	// is a diagnostic of which path ran, not simulated state.
-	batchedPairs int64 `snapshot:"diagnostic"`
+	// through the batched device path. The pairs* counters split the
+	// pairs it issued access by access by reason: the device declined
+	// the row pair (the whole sweep), the bank was not open on rowB
+	// (the first pair, or after a REF precharged it), the next REF
+	// fell inside the pair, or a mitigation acts in it. They are
+	// diagnostics of which path ran, not simulated state.
+	batchedPairs   int64 `snapshot:"diagnostic"`
+	pairsDeclined  int64 `snapshot:"diagnostic"`
+	pairsNotOpen   int64 `snapshot:"diagnostic"`
+	pairsAtREF     int64 `snapshot:"diagnostic"`
+	pairsMitigated int64 `snapshot:"diagnostic"`
 }
 
 // New creates a controller over one device (a single-rank channel).
@@ -435,11 +443,16 @@ func (c *Controller) HammerPairs(bank, rowA, rowB, pairs int) {
 //
 // An ECC layer classifies each run's reads in bulk: one onReads call
 // per aggressor row counts all k reads of its col-0 word. That is exact
-// because PairBatchable admits no fault cell in a hammered row that the
-// run can flip, and nothing else writes a hammered row inside a run, so
-// the word every read of a row returns is constant across the run. The
-// whole sweep takes the per-access path only when
-// dram.Device.PairBatchable declines the row pair.
+// because the word every read of a row returns is constant across the
+// run. Nothing else writes a hammered row inside a run, and the only
+// flip a batched burst can place in a hammered row lands in rowB at the
+// burst's first rowA activation, before any rowB read. Here not even
+// that happens: the bank is open on rowB, so rowB's cells enter the run
+// restored. The whole sweep takes the per-access path only when
+// dram.Device.PairBatchable declines the row pair. With the
+// disturbance and retention models that means a hammered row holds a
+// retention cell, or a disturbance cell one activation of the other
+// hammered row can flip, or InjectWeakCell stacked duplicate cells.
 func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 	coA := Coord{Bank: bank, Row: rowA}
 	coB := Coord{Bank: bank, Row: rowB}
@@ -449,6 +462,7 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 	}
 	dev := c.ranks[rank]
 	if !dev.PairBatchable(bank, rowA, rowB) {
+		c.pairsDeclined += int64(max(pairs, 0))
 		for i := 0; i < pairs; i++ {
 			naivePair()
 		}
@@ -474,6 +488,7 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 		// the bank) k stays 0 and the pair is issued access by access.
 		k := 0
 		var act0 dram.Time
+		why := &c.pairsNotOpen // counts the pair if it runs access by access
 		if dev.OpenRow(bank) == physB {
 			// First activation time, mirroring the conflict branch's
 			// tRC enforcement.
@@ -481,12 +496,14 @@ func (c *Controller) HammerPairsRanked(rank, bank, rowA, rowB, pairs int) {
 			if since := c.now - c.lastAct[flat]; since < t.TRC {
 				act0 += t.TRC - since
 			}
-			k = c.batchPairs(act0, s, period, pairs-done)
-			if k > 0 {
+			why = &c.pairsAtREF
+			if k = c.batchPairs(act0, s, period, pairs-done); k > 0 {
+				why = &c.pairsMitigated
 				k = min(k, c.horizon(flat, rowA, rowB, 2*k)/2)
 			}
 		}
 		if k == 0 {
+			*why++
 			naivePair()
 			done++
 			continue

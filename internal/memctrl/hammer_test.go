@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/disturb"
 	"repro/internal/dram"
+	"repro/internal/modules"
 	"repro/internal/retention"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
@@ -99,6 +100,27 @@ func compareSystems(t *testing.T, a, b *hammerSystem, ctx string) {
 					t.Fatalf("%s: rank %d lastRestore bank %d row %d: batched %d, naive %d",
 						ctx, rk, bank, row, da.LastRestore(bank, row), db.LastRestore(bank, row))
 				}
+			}
+		}
+	}
+}
+
+// coupledAggressorCells injects, into every even physical row of every
+// rank and bank, a distance-2 cell coupled to the rows two above and
+// below. Without remap the even rows are sweepTwins' aggressors, so
+// every pair it sweeps holds a cell in one aggressor coupled to the
+// other, on both sides as neighbouring victims share a row. The cells
+// alternate charge polarity and sit on columns whose aggressor bits
+// make data-pattern dependence apply to some and not others. Their
+// threshold is above one activation's pressure, so the device must
+// batch the pairs around them.
+func (s *hammerSystem) coupledAggressorCells() {
+	for rk, dev := range s.devs {
+		g := dev.Geom
+		for b := 0; b < g.Banks; b++ {
+			for row := 2; row < g.Rows-2; row += 2 {
+				bit := 64*(row%g.Cols) + row%61
+				s.dms[rk].InjectWeakCell(b, row, bit, 600, uint64(row/2%2), 2, 1, 0.6)
 			}
 		}
 	}
@@ -233,21 +255,24 @@ func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
 		ranks int
 		remap bool
 		mits  []func(*hammerSystem) Mitigation
+		// coupled injects coupledAggressorCells.
+		coupled bool
 	}{
-		{"PARA/controller", 1, false, []func(*hammerSystem) Mitigation{para(InController, 1)}},
-		{"PARA/controller+SPD", 1, true, []func(*hammerSystem) Mitigation{para(InControllerWithSPD, 2)}},
-		{"PARA/in-DRAM", 1, false, []func(*hammerSystem) Mitigation{para(InDRAM, 3)}},
-		{"TRR", 1, false, []func(*hammerSystem) Mitigation{trr}},
+		{"PARA/controller", 1, false, []func(*hammerSystem) Mitigation{para(InController, 1)}, false},
+		{"PARA/controller+SPD", 1, true, []func(*hammerSystem) Mitigation{para(InControllerWithSPD, 2)}, false},
+		{"PARA/in-DRAM", 1, false, []func(*hammerSystem) Mitigation{para(InDRAM, 3)}, false},
+		{"TRR", 1, false, []func(*hammerSystem) Mitigation{trr}, false},
 		{"TRR/sample-all", 1, false, []func(*hammerSystem) Mitigation{
-			func(*hammerSystem) Mitigation { return NewTRR(4, 1, rng.New(7)) }}},
-		{"CRA", 1, false, []func(*hammerSystem) Mitigation{cra}},
-		{"Graphene", 1, false, []func(*hammerSystem) Mitigation{graphene}},
-		{"TWiCe", 1, false, []func(*hammerSystem) Mitigation{twice}},
-		{"ANVIL", 1, false, []func(*hammerSystem) Mitigation{anvil}},
-		{"PARA+CRA", 1, false, []func(*hammerSystem) Mitigation{para(InController, 4), cra}},
-		{"RefreshScaling+TRR", 1, false, []func(*hammerSystem) Mitigation{scaling, trr}},
-		{"all/2-rank", 2, false, all},
-		{"all/remapped", 1, true, all},
+			func(*hammerSystem) Mitigation { return NewTRR(4, 1, rng.New(7)) }}, false},
+		{"CRA", 1, false, []func(*hammerSystem) Mitigation{cra}, false},
+		{"Graphene", 1, false, []func(*hammerSystem) Mitigation{graphene}, false},
+		{"TWiCe", 1, false, []func(*hammerSystem) Mitigation{twice}, false},
+		{"ANVIL", 1, false, []func(*hammerSystem) Mitigation{anvil}, false},
+		{"PARA+CRA", 1, false, []func(*hammerSystem) Mitigation{para(InController, 4), cra}, false},
+		{"RefreshScaling+TRR", 1, false, []func(*hammerSystem) Mitigation{scaling, trr}, false},
+		{"all/2-rank", 2, false, all, false},
+		{"all/remapped", 1, true, all, false},
+		{"all/coupled", 2, false, all, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*hammerSystem, []Mitigation) {
@@ -256,6 +281,9 @@ func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
 					for rk, dev := range s.devs {
 						dev.SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(uint64(9+rk))))
 					}
+				}
+				if tc.coupled {
+					s.coupledAggressorCells()
 				}
 				var mits []Mitigation
 				for _, mk := range tc.mits {
@@ -287,6 +315,9 @@ func TestHammerPairsMitigatedMatchesAccessLoop(t *testing.T) {
 			if fast.ctrl.batchedPairs == 0 {
 				t.Fatal("no pair took the batched path; test is vacuous")
 			}
+			if tc.coupled && fast.ctrl.pairsDeclined != 0 {
+				t.Fatalf("the device declined %d pairs; coupled aggressor cells must batch", fast.ctrl.pairsDeclined)
+			}
 			t.Logf("%d of %d pairs batched, %d mitigation refreshes",
 				fast.ctrl.batchedPairs, pairs, fast.ctrl.Stats.MitRefreshes)
 		})
@@ -307,11 +338,12 @@ func TestECCHammerPairsMatchesAccessLoop(t *testing.T) {
 	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 4}
 	corruptions := [][]int{{7}, {3, 40}, {0, 1, 2}, {0, 17, 33, 50}}
 	type rigKind struct {
-		name  string
-		ranks int
-		remap bool
+		name    string
+		ranks   int
+		remap   bool
+		coupled bool // inject coupledAggressorCells
 	}
-	rigs := []rigKind{{"2-rank", 2, false}, {"remapped", 1, true}}
+	rigs := []rigKind{{"2-rank", 2, false, false}, {"remapped", 1, true, false}, {"coupled", 2, false, true}}
 	type eccCase struct {
 		name  string
 		kind  ECCKind
@@ -342,6 +374,9 @@ func TestECCHammerPairsMatchesAccessLoop(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				build := func() *hammerSystem {
 					s := newHammerRig(t, g, rig.ranks, 37, true, Config{ECC: ECCConfig{Kind: tc.kind}})
+					if rig.coupled {
+						s.coupledAggressorCells()
+					}
 					for rk, dev := range s.devs {
 						if rig.remap {
 							dev.SetRemap(dram.RandomRemap(g.Rows, 0.3, rng.New(uint64(13+rk))))
@@ -401,6 +436,52 @@ func TestECCHammerPairsMatchesAccessLoop(t *testing.T) {
 					fast.ctrl.batchedPairs, pairs, st.ECCCorrected, st.ECCDetected, st.ECCSilent)
 			})
 		}
+	}
+}
+
+// TestE21ShapedSweepIsNeverDeviceDeclined pins the disturbance side of
+// pair batching on the rig E21's privilege-escalation campaign hammers:
+// one bank of 256 rows built from the densified 2013-class module.
+// Every (v-1, v+1) sweep whose rows hold no retention cell must batch,
+// including sweeps whose aggressor rows hold distance-2 cells coupled
+// to the other aggressor (one is injected so the rig has one whatever
+// the sampled population), so the device-declined count stays 0. Every
+// pair is counted on exactly one path.
+func TestE21ShapedSweepIsNeverDeviceDeclined(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
+	var mod modules.Module
+	for _, m := range modules.Population(1) {
+		if m.Year == 2013 && m.Vulnerable() {
+			mod = m.ScaleForSmallArray(100, 30, 2e-3)
+			break
+		}
+	}
+	dev, dm, rm := mod.Device(g, 0)
+	dm.InjectWeakCell(0, 100, 77, dm.MinThreshold(), 1, 2, 1, 0.5)
+	ctrl := New(dev, Config{})
+	sweeps, pairs := 0, int64(0)
+	for v := 1; v < g.Rows-1; v++ {
+		if !rm.BatchablePair(0, v-1, v+1) {
+			continue
+		}
+		ctrl.HammerPairs(0, v-1, v+1, 12000) // E21's pairs per attempt
+		sweeps++
+		pairs += 12000
+	}
+	if !rm.BatchablePair(0, 100, 102) {
+		t.Fatal("the injected cell's pair holds a retention cell; move the injection")
+	}
+	c := ctrl
+	t.Logf("%d sweeps, %d pairs: %d batched; per access: %d declined, %d not open, %d at REF, %d mitigated; %d flips",
+		sweeps, pairs, c.batchedPairs, c.pairsDeclined, c.pairsNotOpen, c.pairsAtREF, c.pairsMitigated, dm.TotalFlips())
+	if c.pairsDeclined != 0 {
+		t.Fatalf("the device declined %d pairs", c.pairsDeclined)
+	}
+	if sum := c.batchedPairs + c.pairsDeclined + c.pairsNotOpen + c.pairsAtREF + c.pairsMitigated; sum != pairs {
+		t.Fatalf("path counters sum to %d, want the %d pairs issued", sum, pairs)
+	}
+	if c.batchedPairs == 0 || c.pairsAtREF == 0 || dm.TotalFlips() == 0 {
+		t.Fatal("no batched pair, REF boundary or flip; test is vacuous")
 	}
 }
 

@@ -107,6 +107,17 @@ type PARA struct {
 	Radius int `snapshot:"config"`
 
 	src *rng.Stream
+	// ahead memoizes Horizon's lookahead for ObserveN. It states a fact
+	// about the stream (2n draws from one state reach another), so it
+	// is never stale, only unused.
+	ahead paraLookahead `snapshot:"derived"`
+}
+
+// paraLookahead records that 2n side draws from stream state from
+// reach state to.
+type paraLookahead struct {
+	from, to rng.State
+	n        int
 }
 
 // NewPARA builds a PARA instance with its own random stream and the
@@ -160,7 +171,9 @@ func (p *PARA) OnActivate(c *Controller, bank, logRow int) {
 }
 
 // Horizon implements Mitigation: PARA acts at the first activation
-// whose pair of side draws fires, found on a copy of its stream.
+// whose pair of side draws fires, found on a copy of its stream. It
+// caches the stream state at the last pair boundary it drew past, so
+// ObserveN can jump there instead of drawing again.
 func (p *PARA) Horizon(c *Controller, bank, rowA, rowB, n int) int {
 	side := p.P / 2
 	switch {
@@ -169,21 +182,25 @@ func (p *PARA) Horizon(c *Controller, bank, rowA, rowB, n int) int {
 	case side >= 1:
 		return 0
 	}
+	from := p.src.State()
 	var s rng.Stream
-	s.SetState(p.src.State())
-	cut := rng.BoolCut(side)
-	for i := 0; i < n; i++ {
-		if s.Uint64()>>11 < cut || s.Uint64()>>11 < cut {
-			return i
-		}
-	}
-	return n
+	s.SetState(from)
+	// Two side draws per activation; a pair is four.
+	j := s.BoolRun(rng.BoolCut(side), 2*n, 4)
+	p.ahead = paraLookahead{from: from, to: s.State(), n: j / 4 * 2}
+	return j / 2
 }
 
-// ObserveN implements Mitigation: redraw the horizon's side draws, one
-// Uint64 per Bool, none of which fires.
+// ObserveN implements Mitigation: advance the stream past the horizon's
+// side draws, one Uint64 per Bool, none of which fires. When Horizon
+// drew exactly these from the current state, jump to where it stopped;
+// otherwise draw them again.
 func (p *PARA) ObserveN(c *Controller, bank, rowA, rowB, n int) {
 	if p.P <= 0 {
+		return
+	}
+	if n == p.ahead.n && p.src.State() == p.ahead.from {
+		p.src.SetState(p.ahead.to)
 		return
 	}
 	for i := 0; i < 2*n; i++ {

@@ -445,3 +445,80 @@ func TestMitigationNames(t *testing.T) {
 		names[m.Name()] = true
 	}
 }
+
+// TestPARAObserveNReusesLookahead pins PARA's lookahead cache. ObserveN
+// jumps to the state Horizon reached when the stream still sits where
+// Horizon started and n is the activation count Horizon cached;
+// otherwise it draws again. A poisoned cache shows which path ran, and
+// in every case the stream must end where drawing all 2n side draws
+// one by one leaves it.
+func TestPARAObserveNReusesLookahead(t *testing.T) {
+	redrawn := func(st rng.State, n int) rng.State {
+		s := rng.FromState(st)
+		for i := 0; i < 2*n; i++ {
+			s.Uint64()
+		}
+		return s.State()
+	}
+	poison := rng.State{S: [4]uint64{1, 2, 3, 4}}
+	for _, tc := range []struct {
+		name string
+		// observe runs ObserveN after Horizon and returns the state the
+		// stream must end in; poisoned says it is the poisoned cache.
+		observe  func(p *PARA, cached int) rng.State
+		poisoned bool
+	}{
+		{"cache used", func(p *PARA, cached int) rng.State {
+			want := redrawn(p.src.State(), cached)
+			p.ObserveN(nil, 0, 10, 12, cached)
+			return want
+		}, false},
+		{"cache used/poisoned", func(p *PARA, cached int) rng.State {
+			p.ahead.to = poison
+			p.ObserveN(nil, 0, 10, 12, cached)
+			return poison
+		}, true},
+		{"n differs", func(p *PARA, cached int) rng.State {
+			p.ahead.to = poison
+			want := redrawn(p.src.State(), cached-2)
+			p.ObserveN(nil, 0, 10, 12, cached-2)
+			return want
+		}, false},
+		{"stream moved", func(p *PARA, cached int) rng.State {
+			p.ahead.to = poison
+			p.src.Uint64()
+			want := redrawn(p.src.State(), cached)
+			p.ObserveN(nil, 0, 10, 12, cached)
+			return want
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checked := 0
+			for seed := uint64(1); seed <= 20; seed++ {
+				p := NewPARA(0.02, InDRAM, nil, rng.New(seed))
+				h := p.Horizon(nil, 0, 10, 12, 400)
+				cached := h / 2 * 2
+				if p.ahead.n != cached {
+					t.Fatalf("seed %d: horizon %d cached %d activations, want %d", seed, h, p.ahead.n, cached)
+				}
+				if cached < 4 {
+					continue // too short to shrink n; other seeds cover it
+				}
+				if want := redrawn(p.src.State(), cached); p.ahead.to != want {
+					t.Fatalf("seed %d: cached state is not %d activations ahead", seed, cached)
+				}
+				want := tc.observe(p, cached)
+				if got := p.src.State(); got != want {
+					t.Fatalf("seed %d: stream state %+v, want %+v", seed, got, want)
+				}
+				if !tc.poisoned && p.src.State() == poison {
+					t.Fatalf("seed %d: ObserveN used a cache that did not apply", seed)
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatal("every horizon was under two pairs; test is vacuous")
+			}
+		})
+	}
+}

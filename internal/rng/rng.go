@@ -125,6 +125,45 @@ func (s *Stream) Bool(p float64) bool {
 // with one p compare against the cut instead of converting each draw.
 func BoolCut(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
 
+// BoolRun makes up to n Bool draws against cut (see BoolCut) and
+// returns the index of the first true one, or n if none is true. The
+// draws are taken in groups of group >= 1, and the stream is left at
+// the start of the group holding the first true draw: after
+// i/group*group draws for a return value i. Lookahead loops run it on
+// a copy of a stream and later resume at that group boundary instead
+// of drawing the same values again. The state stays in registers, so
+// it costs what the draws cost.
+func (s *Stream) BoolRun(cut uint64, n, group int) int {
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	g0, g1, g2, g3 := s0, s1, s2, s3 // state at the current group's start
+	k := 0                           // draws into the current group
+	for i := 0; i < n; i++ {
+		if k == group {
+			g0, g1, g2, g3, k = s0, s1, s2, s3, 0
+		}
+		k++
+		// Uint64's step on locals. A helper shared with Uint64 would
+		// push Uint64 over the compiler's inlining budget.
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if result>>11 < cut {
+			s.s0, s.s1, s.s2, s.s3 = g0, g1, g2, g3
+			return i
+		}
+	}
+	if k == group {
+		g0, g1, g2, g3 = s0, s1, s2, s3
+	}
+	s.s0, s.s1, s.s2, s.s3 = g0, g1, g2, g3
+	return n
+}
+
 // Normal returns a sample from the normal distribution with the given
 // mean and standard deviation, using the Marsaglia polar method.
 func (s *Stream) Normal(mean, stddev float64) float64 {

@@ -127,6 +127,46 @@ func TestBoolCutMatchesBool(t *testing.T) {
 	}
 }
 
+// TestBoolRunMatchesBool pins BoolRun against one-by-one Bool draws:
+// the same index of the first true draw, and the stream left exactly
+// where drawing the whole groups before it leaves a copy.
+func TestBoolRunMatchesBool(t *testing.T) {
+	trues := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		for _, p := range []float64{0.001, 0.02, 0.3} {
+			for _, n := range []int{0, 1, 3, 4, 7, 64, 301} {
+				for _, group := range []int{1, 2, 4, 5} {
+					a, b := New(seed), New(seed)
+					want := n
+					for i := 0; i < n; i++ {
+						if a.Bool(p) {
+							want = i
+							break
+						}
+					}
+					got := b.BoolRun(BoolCut(p), n, group)
+					if got != want {
+						t.Fatalf("seed %d p %v n %d group %d: index %d, want %d", seed, p, n, group, got, want)
+					}
+					if got < n {
+						trues++
+					}
+					c := New(seed)
+					for i := 0; i < got/group*group; i++ {
+						c.Uint64()
+					}
+					if b.State() != c.State() {
+						t.Fatalf("seed %d p %v n %d group %d: stream not at the group boundary before draw %d", seed, p, n, group, got)
+					}
+				}
+			}
+		}
+	}
+	if trues == 0 {
+		t.Fatal("no run met a true draw; test is vacuous")
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	s := New(5)
 	hits := 0

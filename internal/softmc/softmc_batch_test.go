@@ -81,9 +81,16 @@ func TestHammerKernelBatchedMatchesInterpreted(t *testing.T) {
 			t.Fatalf("program %d: results differ: batched %+v, interpreted %+v", i, f, s)
 		}
 	}
+	compareDevices(t, devFast, devSlow)
+}
+
+// compareDevices requires identical stats, bits and restore times.
+func compareDevices(t *testing.T, devFast, devSlow *dram.Device) {
+	t.Helper()
 	if devFast.Stats != devSlow.Stats {
 		t.Fatalf("device stats differ:\nbatched     %+v\ninterpreted %+v", devFast.Stats, devSlow.Stats)
 	}
+	g := devFast.Geom
 	for b := 0; b < g.Banks; b++ {
 		for r := 0; r < g.Rows; r++ {
 			wf, ws := devFast.PhysRowWords(b, r), devSlow.PhysRowWords(b, r)
@@ -98,6 +105,57 @@ func TestHammerKernelBatchedMatchesInterpreted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHammerKernelCoupledAggressorsMatchInterpreted runs hammer kernels
+// whose aggressor rows hold distance-2 cells coupled to the other
+// aggressor, on both sides, with both charge polarities and
+// data-pattern dependence on and off. The fast path batches every such
+// kernel and must match the interpreted run on disturb.Reference.
+func TestHammerKernelCoupledAggressorsMatchInterpreted(t *testing.T) {
+	g := dram.Geometry{Banks: 1, Rows: 64, Cols: 2}
+	p := disturb.DefaultParams()
+	p.WeakCellFraction = 0 // injected cells only; DPD stays on
+	devFast, devSlow := dram.NewDevice(g), dram.NewDevice(g)
+	model := disturb.NewModel(g, p, rng.New(1))
+	ref := disturb.NewReference(g, p, rng.New(1))
+	devFast.AttachFault(model)
+	devSlow.AttachFault(ref)
+	fillCheckerboard(devFast)
+	fillCheckerboard(devSlow)
+	engFast, engSlow := NewEngine(devFast, 0), NewEngine(devSlow, 0)
+	for i := 0; i < 8; i++ {
+		v := 5 + 7*i
+		rowA, rowB := v-1, v+1
+		cv := uint64(i & 1)
+		// A cell in each hammered row coupled to the other, and a
+		// victim between them. Against the checkerboard fill, the
+		// charge cv makes data-pattern dependence apply to the rowB
+		// cell for even i and to the other two for odd i.
+		for _, c := range []struct {
+			row, bit, dist int
+			th             float64
+		}{{rowA, 2*i + 1, 2, 3}, {rowB, 2*i + 2, 2, 1.5}, {v, 2*i + 3, 1, 2000}} {
+			model.InjectWeakCell(0, c.row, c.bit, c.th, cv, c.dist, 1, 0.6)
+			ref.InjectWeakCell(0, c.row, c.bit, c.th, cv, c.dist, 1, 0.6)
+			devFast.SetPhysBit(0, c.row, c.bit, cv)
+			devSlow.SetPhysBit(0, c.row, c.bit, cv)
+		}
+		if !devFast.PairBatchable(0, rowA, rowB) || !devFast.PairBatchable(0, rowB, rowA) {
+			t.Fatalf("victim %d: coupled pair declined", v)
+		}
+		for _, rows := range [][2]int{{rowA, rowB}, {rowB, rowA}} {
+			prog := HammerProgram(0, rows[0], rows[1], 3000)
+			f, s := engFast.Run(prog), engSlow.Run(prog)
+			if f.EndTime != s.EndTime || f.Cycles != s.Cycles {
+				t.Fatalf("victim %d pair %v: batched %+v, interpreted %+v", v, rows, f, s)
+			}
+		}
+	}
+	if ref.TotalFlips() == 0 || model.TotalFlips() != ref.TotalFlips() {
+		t.Fatalf("flips: batched %d, interpreted %d (zero is vacuous)", model.TotalFlips(), ref.TotalFlips())
+	}
+	compareDevices(t, devFast, devSlow)
 }
 
 func TestHammerKernelRecognizer(t *testing.T) {
