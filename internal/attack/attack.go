@@ -38,13 +38,10 @@ func ManySided(c *memctrl.Controller, bank int, aggressors []int, rounds int) {
 }
 
 // ManySidedRanked is ManySided on an explicit rank of a multi-rank
-// channel.
+// channel: NSidedRanked without decoys, so two aggressors take the
+// batched HammerPairs path.
 func ManySidedRanked(c *memctrl.Controller, rank, bank int, aggressors []int, rounds int) {
-	for r := 0; r < rounds; r++ {
-		for _, row := range aggressors {
-			c.AccessRanked(rank, memctrl.Coord{Bank: bank, Row: row}, false, 0)
-		}
-	}
+	NSidedRanked(c, rank, bank, aggressors, nil, rounds)
 }
 
 // FlipTemplate records one reproducible bit flip found by scanning:

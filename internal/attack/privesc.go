@@ -202,10 +202,7 @@ func RunCrossVM(c *memctrl.Controller, bank, attackerLo, attackerHi, pairs int, 
 	// Attacker hammers the two rows at each edge of its allocation,
 	// disturbing the adjacent victim rows.
 	var res CrossVMResult
-	for i := 0; i < pairs; i++ {
-		c.AccessCoord(memctrl.Coord{Bank: bank, Row: attackerLo}, false, 0)
-		c.AccessCoord(memctrl.Coord{Bank: bank, Row: attackerHi - 1}, false, 0)
-	}
+	c.HammerPairs(bank, attackerLo, attackerHi-1, pairs)
 	res.HammerPairs = int64(pairs)
 	// Count corruption in victim rows.
 	for r := 0; r < rows; r++ {

@@ -36,56 +36,70 @@ var dataPositions = func() [64]int {
 	return pos
 }()
 
-func (c Codeword72) bit(pos int) uint64 {
-	if pos < 64 {
-		return (c.Lo >> uint(pos)) & 1
+// hammingMasks[k] selects every codeword position (1..71) whose index
+// has bit k set: the positions Hamming check bit 1<<k covers, the check
+// position itself included.
+var hammingMasks = func() (m [7]Codeword72) {
+	for pos := 1; pos <= 71; pos++ {
+		for k := range m {
+			if pos&(1<<k) != 0 {
+				m[k].FlipBit(pos)
+			}
+		}
 	}
-	return uint64((c.Hi >> uint(pos-64)) & 1)
+	return m
+}()
+
+// parity returns the XOR of the codeword positions selected by mask.
+// Folding Hi into Lo with XOR keeps the parity, so one popcount does.
+func (c Codeword72) parity(mask Codeword72) int {
+	return bits.OnesCount64(c.Lo&mask.Lo^uint64(c.Hi&mask.Hi)) & 1
 }
 
-func (c *Codeword72) setBit(pos int, v uint64) {
-	if pos < 64 {
-		if v&1 == 1 {
-			c.Lo |= 1 << uint(pos)
-		} else {
-			c.Lo &^= 1 << uint(pos)
-		}
-		return
-	}
-	if v&1 == 1 {
-		c.Hi |= 1 << uint(pos-64)
-	} else {
-		c.Hi &^= 1 << uint(pos-64)
-	}
-}
+// all72 selects every codeword position.
+var all72 = Codeword72{Lo: ^uint64(0), Hi: 0xff}
 
 // FlipBit inverts one codeword position (0..71), injecting an error.
 func (c *Codeword72) FlipBit(pos int) {
-	c.setBit(pos, c.bit(pos)^1)
+	if pos < 64 {
+		c.Lo ^= 1 << uint(pos)
+		return
+	}
+	c.Hi ^= 1 << uint(pos-64)
+}
+
+// scatter places data bit i at codeword position dataPositions[i]. The
+// data positions form six runs between the check positions: 3, 5-7,
+// 9-15, 17-31, 33-63 and 65-71.
+func scatter(data uint64) Codeword72 {
+	return Codeword72{
+		Lo: (data&1)<<3 | (data>>1&0x7)<<5 | (data>>4&0x7f)<<9 |
+			(data>>11&0x7fff)<<17 | (data>>26&0x7fffffff)<<33,
+		Hi: uint8(data>>57) << 1,
+	}
+}
+
+// gather is the inverse of scatter: it collects the data bits of a
+// codeword, ignoring the check positions.
+func gather(c Codeword72) uint64 {
+	return c.Lo>>3&1 | (c.Lo>>5&0x7)<<1 | (c.Lo>>9&0x7f)<<4 |
+		(c.Lo>>17&0x7fff)<<11 | (c.Lo>>33)<<26 | uint64(c.Hi>>1)<<57
 }
 
 // Encode produces the SECDED codeword for a 64-bit data word.
 func Encode(data uint64) Codeword72 {
-	var c Codeword72
-	for i, pos := range dataPositions {
-		c.setBit(pos, (data>>uint(i))&1)
-	}
-	// Hamming parity bits: parity p covers positions with bit p set.
-	for p := 1; p <= 64; p <<= 1 {
-		var par uint64
-		for pos := 1; pos <= 71; pos++ {
-			if pos&p != 0 && pos != p {
-				par ^= c.bit(pos)
-			}
+	c := scatter(data)
+	// Each check position is covered by its own mask only, so setting
+	// one check bit leaves the later parities unchanged.
+	for k := range hammingMasks {
+		if c.parity(hammingMasks[k]) == 1 {
+			c.FlipBit(1 << k)
 		}
-		c.setBit(p, par)
 	}
 	// Overall parity: make the XOR of all 72 positions even.
-	var all uint64
-	for pos := 1; pos <= 71; pos++ {
-		all ^= c.bit(pos)
+	if c.parity(all72) == 1 {
+		c.FlipBit(0)
 	}
-	c.setBit(0, all)
 	return c
 }
 
@@ -126,34 +140,22 @@ func (o Outcome) String() string {
 // silently miscorrected, exactly as on real hardware; use Classify to
 // compare against ground truth in experiments.
 func Decode(c Codeword72) (data uint64, outcome Outcome) {
-	// Recompute syndrome over Hamming positions.
 	syndrome := 0
-	for p := 1; p <= 64; p <<= 1 {
-		var par uint64
-		for pos := 1; pos <= 71; pos++ {
-			if pos&p != 0 {
-				par ^= c.bit(pos)
-			}
-		}
-		if par != 0 {
-			syndrome |= p
-		}
+	for k := range hammingMasks {
+		syndrome |= c.parity(hammingMasks[k]) << k
 	}
-	var overall uint64
-	for pos := 0; pos <= 71; pos++ {
-		overall ^= c.bit(pos)
-	}
+	overall := c.parity(all72)
 	switch {
 	case syndrome == 0 && overall == 0:
 		outcome = OK
 	case syndrome == 0 && overall == 1:
 		// The overall parity bit itself flipped.
-		c.setBit(0, c.bit(0)^1)
+		c.FlipBit(0)
 		outcome = Corrected
 	case syndrome != 0 && overall == 1:
 		// Single-bit error at the syndrome position.
 		if syndrome <= 71 {
-			c.setBit(syndrome, c.bit(syndrome)^1)
+			c.FlipBit(syndrome)
 			outcome = Corrected
 		} else {
 			outcome = Detected
@@ -161,15 +163,7 @@ func Decode(c Codeword72) (data uint64, outcome Outcome) {
 	default: // syndrome != 0 && overall == 0
 		outcome = Detected
 	}
-	return extractData(c), outcome
-}
-
-func extractData(c Codeword72) uint64 {
-	var data uint64
-	for i, pos := range dataPositions {
-		data |= c.bit(pos) << uint(i)
-	}
-	return data
+	return gather(c), outcome
 }
 
 // Classify decodes a (possibly corrupted) codeword and, comparing with

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/disturb"
 	"repro/internal/dram"
@@ -170,7 +172,7 @@ func runE5(seed uint64) *stats.Table {
 				continue
 			}
 			for _, w := range s.Device.PhysRowWords(0, r) {
-				visible += popcount(w ^ 0xaaaaaaaaaaaaaaaa)
+				visible += bits.OnesCount64(w ^ 0xaaaaaaaaaaaaaaaa)
 			}
 		}
 		t.AddRow("retire victim rows",
@@ -209,10 +211,7 @@ func runE7(seed uint64) *stats.Table {
 		s.Device.FillPhysRow(0, r, pattern)
 	}
 	for v := 1; v < g.Rows-1; v += 2 {
-		for k := 0; k < 15000; k++ {
-			s.Ctrl.AccessCoord(coord(0, v-1), false, 0)
-			s.Ctrl.AccessCoord(coord(0, v+1), false, 0)
-		}
+		s.Ctrl.HammerPairs(0, v-1, v+1, 15000)
 	}
 	// Histogram flips per 64-bit word and decode each corrupted word.
 	hist := map[int]int{}
@@ -220,10 +219,11 @@ func runE7(seed uint64) *stats.Table {
 	stronger := map[string]int{} // residual failures under stronger codes
 	bch2 := ecc.BlockCode{DataBits: 64, T: 2}
 	bch4 := ecc.BlockCode{DataBits: 64, T: 4}
+	clean := ecc.Encode(pattern)
 	for r := 0; r < g.Rows; r++ {
 		words := s.Device.PhysRowWords(0, r)
 		for _, w := range words {
-			flips := popcount(w ^ pattern)
+			flips := bits.OnesCount64(w ^ pattern)
 			hist[flips]++
 			if flips == 0 {
 				continue
@@ -232,8 +232,11 @@ func runE7(seed uint64) *stats.Table {
 			// original check bits (the check devices were not
 			// hammered here): flip exactly the differing data
 			// positions of the clean encoding.
-			cw := ecc.Encode(pattern)
-			outcomes[ecc.Classify(pattern, mixParity(cw, w))]++
+			stored := clean
+			for diff := w ^ pattern; diff != 0; diff &= diff - 1 {
+				stored.FlipBit(ecc.DataPosition(bits.TrailingZeros64(diff)))
+			}
+			outcomes[ecc.Classify(pattern, stored)]++
 			if !bch2.Correctable(flips) {
 				stronger["BCH t=2"]++
 			}
@@ -261,42 +264,6 @@ func runE7(seed uint64) *stats.Table {
 		stronger["BCH t=2"], stronger["BCH t=4"])
 	t.AddNote("paper claim reproduced iff words with >=2 flips exist and SECDED fails on them")
 	return t
-}
-
-// mixParity builds the codeword as stored: data bits reflect the
-// corrupted word, check bits reflect the original encoding (they live
-// in separate DRAM devices on an ECC DIMM and were not hammered here).
-// It flips, on the clean codeword, every data position whose bit
-// differs between the clean and corrupted encodings.
-func mixParity(orig ecc.Codeword72, corruptedData uint64) ecc.Codeword72 {
-	re := ecc.Encode(corruptedData)
-	out := orig
-	for pos := 1; pos < 72; pos++ {
-		if pos&(pos-1) == 0 {
-			continue // parity position
-		}
-		var ob, rb uint64
-		if pos < 64 {
-			ob = (orig.Lo >> uint(pos)) & 1
-			rb = (re.Lo >> uint(pos)) & 1
-		} else {
-			ob = uint64((orig.Hi >> uint(pos-64)) & 1)
-			rb = uint64((re.Hi >> uint(pos-64)) & 1)
-		}
-		if ob != rb {
-			out.FlipBit(pos)
-		}
-	}
-	return out
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // runE8 tabulates the counter-table storage the CAL 2015 approach
@@ -399,6 +366,47 @@ func runE19(seed uint64) *stats.Table {
 	return t
 }
 
+// trrVictimRig builds the bank E22 and E28 attack: 19 victim rows (20,
+// 30, ..., 200), each holding one weak cell (bit 3, threshold 1500)
+// charged to 1.
+func trrVictimRig(seed uint64) (*dram.Device, []int) {
+	g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
+	dev := dram.NewDevice(g)
+	dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
+	var victims []int
+	for v := 20; v <= 200; v += 10 {
+		dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
+		victims = append(victims, v)
+	}
+	dev.AttachFault(dm)
+	for _, v := range victims {
+		dev.SetPhysBit(0, v, 3, 1)
+	}
+	return dev, victims
+}
+
+// flippedVictims counts the trrVictimRig victims whose weak cell flipped.
+func flippedVictims(dev *dram.Device, victims []int) int {
+	flipped := 0
+	for _, v := range victims {
+		if dev.PhysBit(0, v, 3) != 1 {
+			flipped++
+		}
+	}
+	return flipped
+}
+
+// victimAggressors lists the two aggressor rows of each victim in
+// turn, the order a round of a multi-victim double-sided attack
+// activates them.
+func victimAggressors(victims []int) []int {
+	rows := make([]int, 0, 2*len(victims))
+	for _, v := range victims {
+		rows = append(rows, v-1, v+1)
+	}
+	return rows
+}
+
 // runE22 sweeps many-sided attacks against TRR sampler sizes, the
 // forward-looking bypass the paper's DDR4 warning anticipates.
 func runE22(seed uint64) *stats.Table {
@@ -406,34 +414,11 @@ func runE22(seed uint64) *stats.Table {
 		"sampler entries", "aggressor pairs", "victims flipped (of 19)")
 	for _, entries := range []int{1, 2, 4, 8, 16} {
 		for _, nAggr := range []int{1, 4, 10, 19} {
-			g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
-			dev := dram.NewDevice(g)
-			dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
-			victims := []int{}
-			for v := 20; v <= 200; v += 10 {
-				dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
-				victims = append(victims, v)
-			}
-			dev.AttachFault(dm)
-			for _, v := range victims {
-				dev.SetPhysBit(0, v, 3, 1)
-			}
+			dev, victims := trrVictimRig(seed)
 			ctrl := memctrl.New(dev, memctrl.Config{})
 			ctrl.Attach(memctrl.NewTRR(entries, 0.005, rng.New(seed^uint64(entries))))
-			active := victims[:nAggr]
-			for i := 0; i < 5000; i++ {
-				for _, v := range active {
-					ctrl.AccessCoord(coord(0, v-1), false, 0)
-					ctrl.AccessCoord(coord(0, v+1), false, 0)
-				}
-			}
-			flipped := 0
-			for _, v := range victims {
-				if dev.PhysBit(0, v, 3) != 1 {
-					flipped++
-				}
-			}
-			t.AddRowf(entries, nAggr, flipped)
+			attack.ManySided(ctrl, 0, victimAggressors(victims[:nAggr]), 5000)
+			t.AddRowf(entries, nAggr, flippedVictims(dev, victims))
 		}
 	}
 	t.AddNote("expected: small samplers hold against few aggressors and leak once aggressors >> entries")

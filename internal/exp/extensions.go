@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/attack"
 	"repro/internal/disturb"
 	"repro/internal/dram"
 	"repro/internal/fieldstudy"
@@ -54,8 +55,9 @@ func runE25(seed uint64) *stats.Table {
 	// attacker fits into one nominal window, so nominal refresh
 	// protects it and any slow bin exposes it.
 	window := 64 * dram.Millisecond
-	pairsPerWindow := int(uint64(window) / uint64(2*dram.DefaultTiming().TRC)) // ~650k
-	threshold := float64(pairsPerWindow) * 2 * 1.3                             // beyond one window's reach
+	trc := dram.DefaultTiming().TRC
+	pairsPerWindow := int(uint64(window) / uint64(2*trc)) // ~650k
+	threshold := float64(pairsPerWindow) * 2 * 1.3        // beyond one window's reach
 	for _, mult := range []int{1, 2, 4, 8} {
 		g := dram.Geometry{Banks: 1, Rows: 128, Cols: 4}
 		dev := dram.NewDevice(g)
@@ -72,13 +74,10 @@ func runE25(seed uint64) *stats.Table {
 		// refreshes per plan at each nominal-window boundary.
 		now := dram.Time(0)
 		for w := 0; w < 8; w++ {
-			for p := 0; p < pairsPerWindow; p++ {
-				dev.Activate(0, 59, now)
-				dev.Precharge(0)
-				dev.Activate(0, 61, now)
-				dev.Precharge(0)
-				now += 2 * dram.DefaultTiming().TRC
+			if _, ok := dev.HammerPairCycles(0, 59, 61, pairsPerWindow, now, trc); !ok {
+				panic("E25: device declined the hammer pair")
 			}
+			now += dram.Time(2*pairsPerWindow) * trc
 			eng.Step(now)
 		}
 		saved := plan.SavedFraction()
@@ -109,10 +108,7 @@ func runE26(seed uint64) *stats.Table {
 		para := memctrl.NewPARA(0.03, memctrl.InDRAM, nil, rng.New(seed^uint64(radius)))
 		para.Radius = radius
 		ctrl.Attach(para)
-		for i := 0; i < 50000; i++ {
-			ctrl.AccessCoord(coord(0, 59), false, 0)
-			ctrl.AccessCoord(coord(0, 61), false, 0)
-		}
+		ctrl.HammerPairs(0, 59, 61, 50000)
 		d1 := 1 - int(dev.PhysBit(0, 60, 3))
 		d2 := 1 - int(dev.PhysBit(0, 63, 4))
 		t.AddRowf(radius, d1, d2)
@@ -149,10 +145,7 @@ func runE27(seed uint64) *stats.Table {
 			}
 			ctrl := memctrl.New(dev, memctrl.Config{})
 			for v := 1; v < g.Rows-1; v += 4 {
-				for i := 0; i < 3000; i++ {
-					ctrl.AccessCoord(coord(0, v-1), false, 0)
-					ctrl.AccessCoord(coord(0, v+1), false, 0)
-				}
+				ctrl.HammerPairs(0, v-1, v+1, 3000)
 			}
 			return m.TotalFlips()
 		}
@@ -168,35 +161,13 @@ func runE28(seed uint64) *stats.Table {
 	t := stats.NewTable("E28: TRR sampling probability vs protection (8-entry sampler, 19 victims)",
 		"sample probability", "victims flipped")
 	for _, p := range []float64{0, 0.0005, 0.002, 0.01, 0.05} {
-		g := dram.Geometry{Banks: 1, Rows: 256, Cols: 8}
-		dev := dram.NewDevice(g)
-		dm := disturb.NewModel(g, disturb.Invulnerable(), rng.New(seed))
-		victims := []int{}
-		for v := 20; v <= 200; v += 10 {
-			dm.InjectWeakCell(0, v, 3, 1500, 1, 1, 1, 1)
-			victims = append(victims, v)
-		}
-		dev.AttachFault(dm)
-		for _, v := range victims {
-			dev.SetPhysBit(0, v, 3, 1)
-		}
+		dev, victims := trrVictimRig(seed)
 		ctrl := memctrl.New(dev, memctrl.Config{})
 		if p > 0 {
 			ctrl.Attach(memctrl.NewTRR(8, p, rng.New(seed^uint64(p*1e4))))
 		}
-		for i := 0; i < 4000; i++ {
-			for _, v := range victims {
-				ctrl.AccessCoord(coord(0, v-1), false, 0)
-				ctrl.AccessCoord(coord(0, v+1), false, 0)
-			}
-		}
-		flipped := 0
-		for _, v := range victims {
-			if dev.PhysBit(0, v, 3) != 1 {
-				flipped++
-			}
-		}
-		t.AddRowf(p, flipped)
+		attack.ManySided(ctrl, 0, victimAggressors(victims), 4000)
+		t.AddRowf(p, flippedVictims(dev, victims))
 	}
 	t.AddNote("capture rate is the TRR design knob: too low and aggressors slip between REFs")
 	return t

@@ -67,7 +67,8 @@ func classifyEvent(src *rng.Stream, multiFlipP float64, maxFlips int, st *ECCCla
 	for n < maxFlips && src.Bool(multiFlipP) {
 		n++
 	}
-	var positions []int
+	var buf [8]int // no heap allocation up to 8 strikes (E73 caps events at 6)
+	positions := buf[:0]
 	var seen uint64
 	var seenHi uint8
 	for len(positions) < n {
@@ -86,11 +87,9 @@ func classifyEvent(src *rng.Stream, multiFlipP float64, maxFlips int, st *ECCCla
 		positions = append(positions, p)
 	}
 
-	cw := ecc.Encode(0)
-	for _, p := range positions {
-		cw.FlipBit(p)
-	}
-	switch ecc.Classify(0, cw) {
+	// Encode(0) is the zero codeword, so the stored codeword is exactly
+	// the set of struck positions.
+	switch ecc.Classify(0, ecc.Codeword72{Lo: seen, Hi: seenHi}) {
 	case ecc.OK, ecc.Corrected:
 		st.SECDEDCorrected++
 	case ecc.Detected:
@@ -130,9 +129,9 @@ func simulateECCBlock(cfg Config, multiFlipP float64, maxFlips int, seed uint64,
 	var st ECCClassStats
 	scale := cfg.Classes[b.class].RateScale
 	for i := 0; i < b.count; i++ {
-		lambda := cfg.BaseRate * scale * src.LogNormal(0, cfg.TailSigma)
+		monthly := rng.NewPoisson(cfg.BaseRate * scale * src.LogNormal(0, cfg.TailSigma))
 		for m := 0; m < cfg.Months; m++ {
-			events := src.Poisson(lambda)
+			events := monthly.Draw(src)
 			for e := int64(0); e < events; e++ {
 				classifyEvent(src, multiFlipP, maxFlips, &st)
 			}

@@ -199,8 +199,9 @@ func mergeBlocks(cfg Config, blocks []block, results []blockResult) []ClassStats
 // simulateDIMM rolls one DIMM's service history from the stream.
 func simulateDIMM(cfg Config, scale float64, src *rng.Stream) (ce, ue int64) {
 	lambda := cfg.BaseRate * scale * src.LogNormal(0, cfg.TailSigma)
+	monthly := rng.NewPoisson(lambda)
 	for m := 0; m < cfg.Months; m++ {
-		ce += src.Poisson(lambda)
+		ce += monthly.Draw(src)
 		pUE := cfg.UEPerCE * lambda
 		if pUE > 1 {
 			pUE = 1
@@ -260,8 +261,9 @@ func Run(cfg Config, src *rng.Stream) Result {
 			lambda := cfg.BaseRate * cls.RateScale *
 				src.LogNormal(0, cfg.TailSigma)
 			rec := DIMMRecord{Class: cls.Label, LatentRate: lambda}
+			monthly := rng.NewPoisson(lambda)
 			for m := 0; m < cfg.Months; m++ {
-				rec.Correctable += src.Poisson(lambda)
+				rec.Correctable += monthly.Draw(src)
 				pUE := cfg.UEPerCE * lambda
 				if pUE > 1 {
 					pUE = 1

@@ -205,23 +205,51 @@ func (s *Stream) Exponential(mean float64) float64 {
 // mean. For large means it uses the normal approximation, which is more
 // than adequate for the error-count magnitudes simulated here.
 func (s *Stream) Poisson(mean float64) int64 {
-	if mean <= 0 {
+	return NewPoisson(mean).Draw(s)
+}
+
+// Poisson is a Poisson distribution with a fixed mean. It computes
+// exp(-mean) (or, above mean 64, the normal approximation's standard
+// deviation) once, so a caller drawing repeatedly at one rate skips
+// that per draw; each Draw consumes the stream exactly as
+// Stream.Poisson(mean) does.
+type Poisson struct {
+	mean float64
+	// l is exp(-mean) for Knuth's method, sd is sqrt(mean) for the
+	// normal approximation; only the one the mean selects is set.
+	l, sd float64
+}
+
+// NewPoisson returns the Poisson distribution with the given mean.
+func NewPoisson(mean float64) Poisson {
+	p := Poisson{mean: mean}
+	switch {
+	case mean > 64:
+		p.sd = math.Sqrt(mean)
+	case mean > 0:
+		p.l = math.Exp(-mean)
+	}
+	return p
+}
+
+// Draw returns one sample from the distribution.
+func (p Poisson) Draw(s *Stream) int64 {
+	if p.mean <= 0 {
 		return 0
 	}
-	if mean > 64 {
-		v := s.Normal(mean, math.Sqrt(mean))
+	if p.mean > 64 {
+		v := s.Normal(p.mean, p.sd)
 		if v < 0 {
 			return 0
 		}
 		return int64(v + 0.5)
 	}
 	// Knuth's method for small means.
-	l := math.Exp(-mean)
 	var k int64
-	p := 1.0
+	u := 1.0
 	for {
-		p *= s.Float64()
-		if p <= l {
+		u *= s.Float64()
+		if u <= p.l {
 			return k
 		}
 		k++

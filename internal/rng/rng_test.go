@@ -262,6 +262,52 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
+// oraclePoisson is the per-call draw written out in full, computing
+// exp(-mean) on every call: the reference Poisson.Draw must match.
+func oraclePoisson(s *Stream, mean float64) int64 {
+	if mean <= 0 {
+		return 0
+	}
+	if mean > 64 {
+		v := s.Normal(mean, math.Sqrt(mean))
+		if v < 0 {
+			return 0
+		}
+		return int64(v + 0.5)
+	}
+	l := math.Exp(-mean)
+	var k int64
+	p := 1.0
+	for {
+		p *= s.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// TestPoissonDrawMatchesStreamPoisson pins the hoisted distribution to
+// the per-call form draw for draw: one Poisson value reused across many
+// draws, as the fleet simulators use it, consumes a stream exactly as
+// repeated per-call draws at that mean do, on every branch (mean <= 0,
+// Knuth's method, the normal approximation above 64).
+func TestPoissonDrawMatchesStreamPoisson(t *testing.T) {
+	for _, mean := range []float64{-1, 0, 1e-9, 0.003, 0.5, 3, 20, 64, 64.5, 500} {
+		hoisted, perCall, oracle := New(41), New(41), New(41)
+		dist := NewPoisson(mean)
+		for i := 0; i < 5000; i++ {
+			got, viaStream, want := dist.Draw(hoisted), perCall.Poisson(mean), oraclePoisson(oracle, mean)
+			if got != want || viaStream != want {
+				t.Fatalf("mean %v draw %d: Poisson.Draw %d, Stream.Poisson %d, oracle %d", mean, i, got, viaStream, want)
+			}
+		}
+		if hoisted.State() != oracle.State() || perCall.State() != oracle.State() {
+			t.Fatalf("mean %v: streams diverged after 5000 draws", mean)
+		}
+	}
+}
+
 func TestBinomialMean(t *testing.T) {
 	s := New(23)
 	cases := []struct {
